@@ -185,8 +185,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_reduce_to(out.grad, a.shape))
         b._accumulate(_reduce_to(out.grad, b.shape))
 
-    out = _make_node(out_data, (a, b), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(out_data, (a, b), backward_fn)
     return out
 
 
@@ -198,8 +197,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_reduce_to(out.grad, a.shape))
         b._accumulate(_reduce_to(-out.grad, b.shape))
 
-    out = _make_node(out_data, (a, b), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(out_data, (a, b), backward_fn)
     return out
 
 
@@ -211,8 +209,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_reduce_to(out.grad * b.data, a.shape))
         b._accumulate(_reduce_to(out.grad * a.data, b.shape))
 
-    out = _make_node(out_data, (a, b), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(out_data, (a, b), backward_fn)
     return out
 
 
@@ -220,8 +217,7 @@ def _unary(a: Tensor, value: np.ndarray, local_grad) -> Tensor:
     def backward_fn():
         a._accumulate(out.grad * local_grad())
 
-    out = _make_node(value, (a,), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(value, (a,), backward_fn)
     return out
 
 
@@ -318,8 +314,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(out.grad @ b.data.T)
         b._accumulate(a.data.T @ out.grad)
 
-    out = _make_node(out_data, (a, b), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(out_data, (a, b), backward_fn)
     return out
 
 
@@ -330,8 +325,7 @@ def transpose(a: Tensor) -> Tensor:
     def backward_fn():
         a._accumulate(out.grad.T)
 
-    out = _make_node(a.data.T.copy(), (a,), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(a.data.T.copy(), (a,), backward_fn)
     return out
 
 
@@ -346,8 +340,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward_fn():
         a._accumulate(out.grad.reshape(a.shape))
 
-    out = _make_node(a.data.reshape(shape), (a,), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(a.data.reshape(shape), (a,), backward_fn)
     return out
 
 
@@ -368,8 +361,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             idx[axis] = slice(start, stop)
             t._accumulate(out.grad[tuple(idx)])
 
-    out = _make_node(out_data, tuple(tensors), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(out_data, tuple(tensors), backward_fn)
     return out
 
 
@@ -388,8 +380,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         g[idx] = out.grad
         a._accumulate(g)
 
-    out = _make_node(a.data[idx].copy(), (a,), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(a.data[idx].copy(), (a,), backward_fn)
     return out
 
 
@@ -407,8 +398,7 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
         x._accumulate(out.grad)
         v._accumulate(out.grad.sum(axis=0))
 
-    out = _make_node(x.data + v.data[None, :], (x, v), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(x.data + v.data[None, :], (x, v), backward_fn)
     return out
 
 
@@ -421,8 +411,7 @@ def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
         x._accumulate(out.grad)
         b._accumulate(out.grad.sum(axis=(0, 2, 3)))
 
-    out = _make_node(x.data + b.data[None, :, None, None], (x, b), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(x.data + b.data[None, :, None, None], (x, b), backward_fn)
     return out
 
 
@@ -435,8 +424,7 @@ def tile_hw(v: Tensor, height: int, width: int) -> Tensor:
         v._accumulate(out.grad.sum(axis=(2, 3)))
 
     data = np.broadcast_to(v.data[:, :, None, None], v.shape + (height, width)).copy()
-    out = _make_node(data, (v,), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(data, (v,), backward_fn)
     return out
 
 
@@ -453,8 +441,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, table.shape[1]))
         table._accumulate(g)
 
-    out = _make_node(table.data[ids], (table,), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(table.data[ids], (table,), backward_fn)
     return out
 
 
@@ -470,8 +457,7 @@ def gather_index(x: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(g, (rows, ids), out.grad)
         x._accumulate(g)
 
-    out = _make_node(x.data[rows, ids].copy(), (x,), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(x.data[rows, ids].copy(), (x,), backward_fn)
     return out
 
 
@@ -488,8 +474,7 @@ def log_softmax(x: Tensor) -> Tensor:
         softmax = np.exp(out_data)
         x._accumulate(out.grad - softmax * out.grad.sum(axis=1, keepdims=True))
 
-    out = _make_node(out_data, (x,), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(out_data, (x,), backward_fn)
     return out
 
 
@@ -506,8 +491,7 @@ def pairwise_sq_dists(x: Tensor, y: Tensor) -> Tensor:
         x._accumulate(2.0 * (x.data * g.sum(axis=1)[:, None] - g @ y.data))
         y._accumulate(2.0 * (y.data * g.sum(axis=0)[:, None] - g.T @ x.data))
 
-    out = _make_node(d, (x, y), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(d, (x, y), backward_fn)
     return out
 
 
@@ -583,8 +567,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
             dxp = dxp[:, :, padding:-padding, padding:-padding]
         x._accumulate(dxp[0] if single else dxp)
 
-    out = _make_node(out_data, (x, kernels), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(out_data, (x, kernels), backward_fn)
     return out
 
 
@@ -597,8 +580,7 @@ def upsample2x(x: Tensor) -> Tensor:
     def backward_fn():
         x._accumulate(out.grad.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
-    out = _make_node(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), (x,), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), (x,), backward_fn)
     return out
 
 
@@ -613,8 +595,7 @@ def avgpool2x(x: Tensor) -> Tensor:
     def backward_fn():
         x._accumulate(np.repeat(np.repeat(out.grad, 2, axis=2), 2, axis=3) * 0.25)
 
-    out = _make_node(x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5)), (x,), None)
-    out._backward_fn = backward_fn if out._parents else None
+    out = _make_node(x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5)), (x,), backward_fn)
     return out
 
 
@@ -645,8 +626,7 @@ def reduce(op_tag: str, x: Tensor, axis: Optional[int] = None) -> Tensor:
             else:
                 x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape) * factor)
 
-        out = _make_node(np.asarray(out_data), (x,), None)
-        out._backward_fn = backward_fn if out._parents else None
+        out = _make_node(np.asarray(out_data), (x,), backward_fn)
         return out
 
     # max
@@ -658,7 +638,7 @@ def reduce(op_tag: str, x: Tensor, axis: Optional[int] = None) -> Tensor:
             g.reshape(-1)[flat_idx] = float(out.grad)
             x._accumulate(g)
 
-        out = _make_node(np.asarray(x.data.max()), (x,), None)
+        out = _make_node(np.asarray(x.data.max()), (x,), backward_fn)
     else:
         arg = np.argmax(x.data, axis=axis)
 
@@ -667,8 +647,7 @@ def reduce(op_tag: str, x: Tensor, axis: Optional[int] = None) -> Tensor:
             np.put_along_axis(g, np.expand_dims(arg, axis), np.expand_dims(out.grad, axis), axis=axis)
             x._accumulate(g)
 
-        out = _make_node(x.data.max(axis=axis), (x,), None)
-    out._backward_fn = backward_fn if out._parents else None
+        out = _make_node(x.data.max(axis=axis), (x,), backward_fn)
     return out
 
 

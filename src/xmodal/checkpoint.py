@@ -7,6 +7,7 @@ payload; finally CRC32 of every preceding byte.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -72,7 +73,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             pos += 4
             dims = struct.unpack_from(f"<{rank}I", blob, pos) if rank else ()
             pos += 4 * rank
-            n_values = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            n_values = math.prod(dims)  # Python ints: no overflow on crafted dims
+            if pos + 8 * n_values > len(blob) - 4:
+                raise FormatError(f"{path}: tensor {name!r} of shape {dims} overruns the payload")
             arr = np.frombuffer(blob, dtype="<f8", count=n_values, offset=pos).reshape(dims)
             pos += 8 * n_values
             if name in out:

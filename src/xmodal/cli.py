@@ -237,7 +237,7 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
             gen, _ = train(source, target, mcfg, rng, log=log)
             save_module(gen, ckpt_path)
     except DivergenceError as e:
-        if getattr(e, "last_good", None) is not None:
+        if e.last_good is not None:
             save_checkpoint(ckpt_path, e.last_good)
         raise
     finally:
@@ -254,7 +254,12 @@ def cmd_translate(ws: Workspace, cfg: dict, seed: int, direction: str,
     ws.translations.mkdir(parents=True, exist_ok=True)
     if direction == "image-to-text":
         mapper = load_mapper(ws, cfg, "mapper-i2t")
-        psi = encode_image(img_model, read_ppm(input_path))
+        image = read_ppm(input_path)
+        size = img_model.cfg.top_res
+        if image.shape != (3, size, size):
+            raise FormatError(f"{input_path}: image is {image.shape[2]}x{image.shape[1]}, "
+                              f"the model takes {size}x{size}")
+        psi = encode_image(img_model, image)
         sentence = map_embedding(mapper, psi)
         caption = detokenize(vocab.decode(decode_text(txt_model, sentence)))
         out = Path(output_path) if output_path else ws.translations / "i2t.txt"
@@ -264,8 +269,9 @@ def cmd_translate(ws: Workspace, cfg: dict, seed: int, direction: str,
         mapper = load_mapper(ws, cfg, "mapper-t2i")
         text = Path(input_path).read_text(encoding="utf-8").strip()
         tokens = tokenize(text)
-        if not tokens:
-            raise FormatError(f"{input_path}: no tokens in input text")
+        if not 1 <= len(tokens) <= txt_model.max_len:
+            raise FormatError(f"{input_path}: {len(tokens)} tokens in input text, "
+                              f"the model takes 1 to {txt_model.max_len}")
         sentence = encode_text(txt_model, vocab.encode(tokens))
         psi = map_embedding(mapper, sentence)
         images = generate_images(img_model, psi, rng, sample_augment=cfg["translate.sample"])

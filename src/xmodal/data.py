@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import FormatError
 from .text_ae import tokenize
 
@@ -97,11 +96,11 @@ class LabeledEmbeddingSet:
 
 
 def write_ppm(image, path):
-    """Write a (3, H, W) tensor with values in [-1, 1] as binary P6.
+    """Write a (3, H, W) array with values in [-1, 1] as binary P6.
 
     Quantization rounds half away from zero and clamps to [0, 255].
     """
-    data = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    data = np.asarray(image, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] != 3:
         raise FormatError(f"write_ppm expects (3, H, W), got {data.shape}")
     _, h, w = data.shape
@@ -133,8 +132,8 @@ def _read_header_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def read_ppm(path) -> Tensor:
-    """Read a binary P6 PPM with maxval 255 into a (3, H, W) tensor in [-1, 1]."""
+def read_ppm(path) -> np.ndarray:
+    """Read a binary P6 PPM with maxval 255 into a (3, H, W) array in [-1, 1]."""
     buf = Path(path).read_bytes()
     if buf[:2] != b"P6":
         raise FormatError(f"ppm: bad magic {buf[:2]!r} at byte offset 0")
@@ -155,7 +154,8 @@ def read_ppm(path) -> Tensor:
         raise FormatError(f"ppm: truncated payload at byte offset {pos + len(payload)} "
                           f"(expected {expected} bytes, got {len(payload)})")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
-    return Tensor(arr.astype(np.float64) * (2.0 / 255.0) - 1.0)
+    # C order: the reductions that pool these images depend on the layout
+    return np.ascontiguousarray(arr.astype(np.float64) * (2.0 / 255.0) - 1.0)
 
 
 # -- EMB1 -----------------------------------------------------------------
@@ -327,7 +327,7 @@ def load_image_split(dataset_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
         if "\t" not in line:
             raise FormatError(f"{index}: line {lineno}: missing tab separator")
         class_field, fname = line.split("\t", 1)
-        images.append(read_ppm(root / "images" / fname).data)
+        images.append(read_ppm(root / "images" / fname))
         labels.append(int(class_field))
     if not images:
         raise FormatError(f"{index}: empty split")

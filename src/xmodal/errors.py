@@ -14,4 +14,12 @@ class MissingDependencyError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss (exit code 5)."""
+    """Training produced a non-finite loss (exit code 5).
+
+    `last_good` holds the (name, array) pairs of the last finite-loss
+    parameters, or None when no snapshot applies.
+    """
+
+    def __init__(self, message: str, last_good=None):
+        super().__init__(message)
+        self.last_good = last_good

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .errors import DivergenceError
 from .layers import Conv2dLayer, DenseLayer, Module
-from .optim import Adam
+from .optim import Adam, TrainingRun
 
 
 @dataclass
@@ -269,9 +269,9 @@ class ImageAutoencoder(Module):
                 + self.generator.parameters())
 
 
-def encode_image(model: ImageAutoencoder, image) -> np.ndarray:
+def encode_image(model: ImageAutoencoder, image: np.ndarray) -> np.ndarray:
     """Deterministic embedding of one (3, S, S) image with values in [-1, 1]."""
-    data = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    data = np.asarray(image, dtype=np.float64)
     cfg = model.cfg
     if data.shape != (3, cfg.top_res, cfg.top_res):
         raise ShapeError(f"encode_image expects (3, {cfg.top_res}, {cfg.top_res}), got {data.shape}")
@@ -328,21 +328,7 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
     disc_opts = [Adam(d.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
                  for d in model.discriminators]
 
-    metrics: list[dict] = []
-    last_good = [(name, p.data.copy()) for name, p in model.named_parameters()]
-
-    def emit(name: str, value: float):
-        row = {"metric": name, "value": value}
-        metrics.append(row)
-        if log:
-            log(row)
-
-    def check(value: float, what: str):
-        if not np.isfinite(value):
-            err = DivergenceError(f"image autoencoder {what} non-finite")
-            err.last_good = last_good
-            raise err
-
+    run = TrainingRun(model.named_parameters(), log)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_total)
         for start in range(0, n_total - cfg.batch + 1, cfg.batch):
@@ -358,11 +344,8 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
             for i, (disc, opt) in enumerate(zip(model.discriminators, disc_opts)):
                 real_i = Tensor(reals_by_branch[i][idx])
                 d_loss = discriminator_loss(disc, real_i, fakes[i], c_hat)
-                check(d_loss.item(), f"discriminator {i} loss")
-                emit(f"d_loss_{i}", d_loss.item())
-                opt.zero_grad()
-                ad.backward(d_loss)
-                opt.step()
+                run.emit(f"d_loss_{i}",
+                         run.minimize(opt, d_loss, f"image autoencoder discriminator {i} loss"))
 
             # generator phase: fresh forward, discriminators frozen
             psi = model.encoder(x)
@@ -372,13 +355,10 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
             g_adv = generator_adversarial_loss(model.discriminators, fakes, c_hat)
             rec = l1_reconstruction(fakes[-1], x)
             total = ad.add(g_adv, ad.add(ad.scale(kl, cfg.lambda_kl), ad.scale(rec, cfg.lambda_rec)))
-            check(total.item(), "generator loss")
-            emit("g_adv", g_adv.item())
-            emit("kl", kl.item())
-            emit("l1_rec", rec.item())
-            emit("g_total", total.item())
-            gen_opt.zero_grad()
-            ad.backward(total)
-            gen_opt.step()
-            last_good = [(name, p.data.copy()) for name, p in model.named_parameters()]
-    return metrics
+            g_total = run.minimize(gen_opt, total, "image autoencoder generator loss")
+            run.emit("g_adv", g_adv.item())
+            run.emit("kl", kl.item())
+            run.emit("l1_rec", rec.item())
+            run.emit("g_total", g_total)
+            run.snapshot()
+    return run.metrics

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .errors import DivergenceError
 from .layers import DenseLayer, Module
-from .optim import Adam
+from .optim import Adam, TrainingRun
 
 logger = logging.getLogger(__name__)
 
@@ -33,8 +33,8 @@ class KernelSpec:
 
     def __post_init__(self):
         self.bandwidths = tuple(float(b) for b in self.bandwidths)
-        if any(b <= 0 for b in self.bandwidths):
-            raise ValueError(f"kernel bandwidths must be positive, got {self.bandwidths}")
+        if not all(0.0 < b < np.inf for b in self.bandwidths):
+            raise ValueError(f"kernel bandwidths must be positive and finite, got {self.bandwidths}")
 
     def gram(self, x: Tensor, y: Tensor) -> Tensor:
         """Differentiable Gram matrix between rows of x and rows of y."""
@@ -44,12 +44,6 @@ class KernelSpec:
             term = ad.exp(ad.scale(d, -1.0 / (2.0 * sigma * sigma)))
             total = term if total is None else ad.add(total, term)
         return total
-
-    def gram_np(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        sq_x = np.sum(x * x, axis=1)[:, None]
-        sq_y = np.sum(y * y, axis=1)[None, :]
-        d = np.maximum(sq_x + sq_y - 2.0 * (x @ y.T), 0.0)
-        return sum(np.exp(d * (-1.0 / (2.0 * s * s))) for s in self.bandwidths)
 
 
 def _as_batch(x) -> Tensor:
@@ -94,11 +88,10 @@ def median_heuristic(x: np.ndarray, y: np.ndarray) -> float:
 
     Falls back to 1.0 (with a warning) when all pooled points coincide.
     """
-    pooled = np.concatenate([np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)])
+    pooled = Tensor(np.concatenate([x, y]))
     if pooled.shape[0] < 2:
         raise ShapeError("median_heuristic needs at least 2 pooled points")
-    sq = np.sum(pooled * pooled, axis=1)
-    d = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T), 0.0)
+    d = ad.pairwise_sq_dists(pooled, pooled).data
     upper = d[np.triu_indices(pooled.shape[0], k=1)]
     if upper.max() == 0.0:
         logger.warning("median_heuristic: all pooled points identical; using sigma0 = 1")
@@ -212,15 +205,7 @@ def train_gan_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
     disc = MapperDiscriminator(target.shape[1], cfg.hidden, rng)
     g_opt = Adam(gen.parameters(), lr=cfg.lr)
     d_opt = Adam(disc.parameters(), lr=cfg.lr)
-    metrics: list[dict] = []
-    last_good = [(n, p.data.copy()) for n, p in gen.named_parameters()]
-
-    def emit(name, value):
-        row = {"metric": name, "value": value}
-        metrics.append(row)
-        if log:
-            log(row)
-
+    run = TrainingRun(gen.named_parameters(), log)
     one = Tensor(1.0)
     for step in range(cfg.steps):
         xb = Tensor(_sample(target, cfg.batch, rng))
@@ -228,25 +213,15 @@ def train_gan_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
             fake = gen(Tensor(_sample(source, cfg.batch, rng)))
         d_loss = ad.neg(ad.add(ad.reduce("mean", ad.log(disc(xb))),
                                ad.reduce("mean", ad.log(ad.sub(one, disc(fake))))))
-        d_value = d_loss.item()
-        d_opt.zero_grad()
-        ad.backward(d_loss)
-        d_opt.step()
+        d_value = run.minimize(d_opt, d_loss, f"gan mapper discriminator loss at step {step}")
 
         fake = gen(Tensor(_sample(source, cfg.batch, rng)))
         g_loss = ad.neg(ad.reduce("mean", ad.log(disc(fake))))
-        g_value = g_loss.item()
-        if not (np.isfinite(d_value) and np.isfinite(g_value)):
-            err = DivergenceError(f"gan mapper loss non-finite at step {step}")
-            err.last_good = last_good
-            raise err
-        g_opt.zero_grad()
-        ad.backward(g_loss)
-        g_opt.step()
-        last_good = [(n, p.data.copy()) for n, p in gen.named_parameters()]
-        emit("d_loss", d_value)
-        emit("g_loss", g_value)
-    return gen, metrics
+        g_value = run.minimize(g_opt, g_loss, f"gan mapper generator loss at step {step}")
+        run.snapshot()
+        run.emit("d_loss", d_value)
+        run.emit("g_loss", g_value)
+    return gen, run.metrics
 
 
 def _strided_sample(rows: np.ndarray, count: int) -> np.ndarray:
@@ -270,8 +245,7 @@ def train_mmd_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
         if cfg.kernel_learning else None
     g_opt = Adam(gen.parameters(), lr=cfg.lr)
     c_opt = Adam(critic.parameters(), lr=cfg.lr) if critic else None
-    metrics: list[dict] = []
-    last_good = [(n, p.data.copy()) for n, p in gen.named_parameters()]
+    run = TrainingRun(gen.named_parameters(), log)
 
     def features(x: Tensor) -> Tensor:
         return critic.encode(x) if critic else x
@@ -281,13 +255,11 @@ def train_mmd_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
         probe_s = map_embedding(gen, _strided_sample(source, 128))
         fx = features(Tensor(probe_t)).data
         fy = features(Tensor(probe_s)).data
-    kernel = mixture_kernel(median_heuristic(fx, fy))
-
-    def emit(name, value):
-        row = {"metric": name, "value": value}
-        metrics.append(row)
-        if log:
-            log(row)
+    sigma0 = median_heuristic(fx, fy)
+    if not np.isfinite(sigma0):
+        raise DivergenceError("non-finite embeddings in the mmd mapper bandwidth probe",
+                              run.last_good)
+    kernel = mixture_kernel(sigma0)
 
     for step in range(cfg.steps):
         if critic:
@@ -301,22 +273,13 @@ def train_mmd_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
                 diff = ad.sub(critic.decode(fx), xb)
                 rec = ad.reduce("mean", ad.mul(diff, diff))
                 critic_obj = ad.neg(ad.sub(mmd, ad.scale(rec, cfg.lambda_ae)))
-                c_opt.zero_grad()
-                ad.backward(critic_obj)
-                c_opt.step()
+                run.minimize(c_opt, critic_obj, f"mmd mapper critic objective at step {step}")
                 critic.clamp()
 
         xb = Tensor(_sample(target, cfg.batch, rng))
         fake = gen(Tensor(_sample(source, cfg.batch, rng)))
         loss = mmd2_unbiased(features(xb), features(fake), kernel)
-        value = loss.item()
-        if not np.isfinite(value):
-            err = DivergenceError(f"mmd mapper loss non-finite at step {step}")
-            err.last_good = last_good
-            raise err
-        g_opt.zero_grad()
-        ad.backward(loss)
-        g_opt.step()
-        last_good = [(n, p.data.copy()) for n, p in gen.named_parameters()]
-        emit("mmd2", value)
-    return gen, metrics
+        value = run.minimize(g_opt, loss, f"mmd mapper loss at step {step}")
+        run.snapshot()
+        run.emit("mmd2", value)
+    return gen, run.metrics

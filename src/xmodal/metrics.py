@@ -11,25 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ShapeError
+from .autodiff import ShapeError, Tensor
 from .data import LabeledEmbeddingSet
 from .errors import FormatError
 from .mappers import KernelSpec
 
 logger = logging.getLogger(__name__)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b / (|a||b|); zero vectors get similarity 0 with a logged warning."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"cosine_similarity expects equal 1-D vectors, got {a.shape} and {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        logger.warning("cosine_similarity: zero vector encountered; returning 0")
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -159,7 +146,7 @@ def two_sample_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     if rng is None:
         rng = np.random.default_rng()
     pooled = np.concatenate([x, y])
-    gram = kernel.gram_np(pooled, pooled)
+    gram = kernel.gram(Tensor(pooled), Tensor(pooled)).data
     observed = _mmd2_unbiased_gram(gram, np.arange(n), np.arange(n, n + m))
     exceed = 0
     for _ in range(permutations):

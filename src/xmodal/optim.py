@@ -1,10 +1,12 @@
-"""Adaptive moment-estimation optimizer (the only one the pipeline needs)."""
+"""Adam, and the checked update step every trainer runs through."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import DivergenceError
 
 
 class Adam:
@@ -36,3 +38,41 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * (g * g)
             p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+class TrainingRun:
+    """Metric rows, last good parameters and checked update steps of one training run.
+
+    `named_params` are the (name, tensor) pairs a divergence checkpoint holds.
+    `snapshot()` copies them; construction takes the first copy. Each emitted
+    row goes to `metrics` and, when given, to `log`.
+    """
+
+    def __init__(self, named_params, log=None):
+        self.named_params = list(named_params)
+        self.log = log
+        self.metrics: list[dict] = []
+        self.snapshot()
+
+    def emit(self, name: str, value: float):
+        row = {"metric": name, "value": value}
+        self.metrics.append(row)
+        if self.log:
+            self.log(row)
+
+    def snapshot(self):
+        self.last_good = [(name, p.data.copy()) for name, p in self.named_params]
+
+    def minimize(self, opt: Adam, loss: Tensor, what: str) -> float:
+        """One descent step of `opt` on `loss`; returns the loss value.
+
+        A non-finite loss raises DivergenceError, carrying the last snapshot,
+        before backward runs or any parameter changes.
+        """
+        value = loss.item()
+        if not np.isfinite(value):
+            raise DivergenceError(f"non-finite {what}", self.last_good)
+        opt.zero_grad()
+        ad.backward(loss)
+        opt.step()
+        return value

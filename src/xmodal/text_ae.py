@@ -15,9 +15,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .errors import DivergenceError, FormatError
+from .errors import FormatError
 from .layers import DenseLayer, EmbeddingTable, LSTMCell, Module, bilstm_encode, max_over_time
-from .optim import Adam
+from .optim import Adam, TrainingRun
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -208,8 +208,7 @@ def train_text_autoencoder(records: list[tuple[int, list[str]]], vocab: Vocabula
     if not ids:
         raise FormatError("text autoencoder: empty corpus")
     opt = Adam(model.parameters(), lr=lr)
-    metrics = []
-    last_good = [(name, p.data.copy()) for name, p in model.named_parameters()]
+    run = TrainingRun(model.named_parameters(), log)
     for epoch in range(epochs):
         batches = _length_batches(ids, batch_size, rng)
         epoch_loss = 0.0
@@ -225,20 +224,10 @@ def train_text_autoencoder(records: list[tuple[int, list[str]]], vocab: Vocabula
 
             s = model.encode_ids(tokens)
             loss = decoder_loss(model, s, input_ids, target_ids)
-            value = loss.item()
-            if not np.isfinite(value):
-                err = DivergenceError(f"text autoencoder loss non-finite at epoch {epoch}")
-                err.last_good = last_good
-                raise err
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
+            value = run.minimize(opt, loss, f"text autoencoder loss at epoch {epoch}")
             n_tok = len(batch_idx) * (length + 1)
             epoch_loss += value * n_tok
             epoch_tokens += n_tok
-        last_good = [(name, p.data.copy()) for name, p in model.named_parameters()]
-        row = {"metric": "ce_epoch", "value": epoch_loss / epoch_tokens}
-        metrics.append(row)
-        if log:
-            log(row)
-    return metrics
+        run.snapshot()
+        run.emit("ce_epoch", epoch_loss / epoch_tokens)
+    return run.metrics

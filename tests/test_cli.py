@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xmodal.cli import main
+from xmodal.checkpoint import load_checkpoint, load_into
+from xmodal.cli import image_ae_config, main
+from xmodal.config import resolve_config
+from xmodal.data import load_caption_split, write_ppm
+from xmodal.image_ae import ImageAutoencoder
+from xmodal.mappers import MapperGenerator
+from xmodal.text_ae import TextAutoencoder, Vocabulary
 
 TINY = """
 data.samples_per_class = 2
@@ -24,6 +30,12 @@ def workdir(tmp_path, monkeypatch):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY)
     return tmp_path, str(cfg)
+
+
+def train_stages(cfg: str, stages) -> None:
+    assert main(["datagen", "--config", cfg]) == 0
+    for stage in stages:
+        assert main(["train", "--stage", stage, "--config", cfg]) == 0
 
 
 def tree_bytes(root: Path) -> dict:
@@ -58,6 +70,22 @@ class TestExitCodes:
         assert main(["translate", "--direction", "image-to-text",
                      "--input", str(bad), "--config", cfg]) == 3
 
+    def test_wrong_image_size_exits_3(self, workdir):
+        ws, cfg = workdir
+        train_stages(cfg, ("image-ae", "text-ae", "mapper-i2t"))
+        small = ws / "small.ppm"
+        write_ppm(np.zeros((3, 16, 16)), small)
+        assert main(["translate", "--direction", "image-to-text",
+                     "--input", str(small), "--config", cfg]) == 3
+
+    def test_caption_over_max_len_exits_3(self, workdir):
+        ws, cfg = workdir
+        train_stages(cfg, ("image-ae", "text-ae", "mapper-t2i"))
+        caption = ws / "long.txt"
+        caption.write_text(" ".join(["red"] * 30) + "\n")
+        assert main(["translate", "--direction", "text-to-image",
+                     "--input", str(caption), "--config", cfg]) == 3
+
     def test_locked_workdir_exits_3(self, workdir):
         ws, cfg = workdir
         (ws / ".lock").touch()
@@ -65,6 +93,41 @@ class TestExitCodes:
         (ws / ".lock").unlink()
         assert main(["datagen", "--config", cfg]) == 0
         assert not (ws / ".lock").exists()
+
+
+DIVERGING = {
+    "image-ae": "image_ae.lr = 1e300\n",
+    "text-ae": "text_ae.lr = 1e300\n",
+    "mapper-i2t": "mapper.lr = 1e300\n",
+    "mapper-t2i": "mapper.lr = 1e300\nmapper.kind = gan\n",
+}
+
+
+@pytest.mark.parametrize("stage", DIVERGING)
+def test_divergence_keeps_last_good_checkpoint(workdir, stage):
+    ws, cfg = workdir
+    train_stages(cfg, ("image-ae", "text-ae") if stage.startswith("mapper") else ())
+    diverging = ws / "diverging.cfg"
+    diverging.write_text(TINY + DIVERGING[stage])
+    assert main(["train", "--stage", stage, "--config", str(diverging)]) == 5
+
+    ckpt = ws / "checkpoints" / (stage.replace("-", "_") + ".ckpt")
+    arrays = load_checkpoint(ckpt)
+    assert all(np.isfinite(a).all() for a in arrays.values())
+    resolved = resolve_config(str(diverging))
+    rng = np.random.default_rng(0)
+    if stage == "image-ae":
+        module = ImageAutoencoder(image_ae_config(resolved), rng)
+    elif stage == "text-ae":
+        vocab = Vocabulary.from_corpus(load_caption_split(ws / "dataset", "train"))
+        module = TextAutoencoder(len(vocab), resolved["text_ae.embed_dim"],
+                                 resolved["text_ae.hidden"], rng)
+    else:
+        d_img, d_txt = resolved["image_ae.d_img"], 2 * resolved["text_ae.hidden"]
+        dims = (d_img, d_txt) if stage == "mapper-i2t" else (d_txt, d_img)
+        module = MapperGenerator(*dims, resolved["mapper.hidden"], rng)
+    assert list(arrays) == [name for name, _ in module.named_parameters()]
+    load_into(module, ckpt)  # shapes match too
 
 
 class TestDatagen:

@@ -1,5 +1,8 @@
 """Config parsing and binary checkpoint format."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -160,3 +163,12 @@ class TestCheckpoint:
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_oversized_tensor_rejected(self, tmp_path):
+        # valid CRC, but the dims ask for more values than the payload holds
+        path = tmp_path / "m.ckpt"
+        body = b"CKPT" + struct.pack("<IIIsII", 1, 1, 1, b"w", 1, 1000) + np.ones(2).tobytes()
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="overruns"):
+            load_checkpoint(path)
+

@@ -91,9 +91,9 @@ class TestPPM:
     def test_black_and_white_endpoints(self, tmp_path):
         path = tmp_path / "img.ppm"
         write_ppm(-np.ones((3, 4, 4)), path)
-        np.testing.assert_array_equal(read_ppm(path).data, -1.0)
+        np.testing.assert_array_equal(read_ppm(path), -1.0)
         write_ppm(np.ones((3, 4, 4)), path)
-        np.testing.assert_array_equal(read_ppm(path).data, 1.0)
+        np.testing.assert_array_equal(read_ppm(path), 1.0)
 
     def test_roundtrip_quantized(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -134,7 +134,7 @@ class TestPPM:
     def test_header_comments_allowed(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# a comment\n1 1\n255\n\x10\x20\x30")
-        img = read_ppm(path).data
+        img = read_ppm(path)
         assert img.shape == (3, 1, 1)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from xmodal import autodiff as ad
 from xmodal.autodiff import ShapeError, Tensor, backward, gradient_check
+from xmodal.errors import DivergenceError
 from xmodal.mappers import (BANDWIDTH_SCALES, KernelSpec, MapperConfig, MapperGenerator,
                             MMDCritic, map_embedding, median_heuristic, mixture_kernel,
                             mmd2_biased, mmd2_unbiased, train_gan_mapper, train_mmd_mapper)
@@ -39,32 +40,39 @@ class TestKernelSpec:
     def test_self_similarity_is_mixture_size(self):
         kernel = KernelSpec((0.5, 1.0, 2.0))
         x = np.random.default_rng(0).normal(size=(4, 3))
-        gram = kernel.gram_np(x, x)
+        gram = kernel.gram(Tensor(x), Tensor(x)).data
         np.testing.assert_allclose(np.diag(gram), 3.0)
 
     def test_symmetry(self):
         kernel = KernelSpec((1.0, 3.0))
         rng = np.random.default_rng(1)
         x, y = rng.normal(size=(5, 2)), rng.normal(size=(6, 2))
-        np.testing.assert_allclose(kernel.gram_np(x, y), kernel.gram_np(y, x).T, atol=1e-15)
+        np.testing.assert_allclose(kernel.gram(Tensor(x), Tensor(y)).data,
+                                   kernel.gram(Tensor(y), Tensor(x)).data.T, atol=1e-15)
 
     def test_gram_matches_autodiff_path(self):
-        kernel = KernelSpec((0.7, 2.0))
+        bandwidths = (0.7, 2.0)
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        np.testing.assert_allclose(kernel.gram(Tensor(x), Tensor(y)).data,
-                                   kernel.gram_np(x, y), atol=1e-14)
+        want = [[rbf_mixture_value(a, b, bandwidths) for b in y] for a in x]
+        np.testing.assert_allclose(KernelSpec(bandwidths).gram(Tensor(x), Tensor(y)).data,
+                                   want, atol=1e-14)
 
     def test_positive_bandwidths_required(self):
         with pytest.raises(ValueError):
             KernelSpec((1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_bandwidths_required(self, bad):
+        with pytest.raises(ValueError):
+            KernelSpec((bad,))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 20), st.integers(1, 6), st.integers(0, 10 ** 6))
     def test_gram_positive_semidefinite(self, n, dim, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, dim))
-        gram = mixture_kernel(1.3).gram_np(x, x)
+        gram = mixture_kernel(1.3).gram(Tensor(x), Tensor(x)).data
         assert np.linalg.eigvalsh(gram).min() >= -1e-9
 
 
@@ -126,8 +134,8 @@ class TestMMDEstimators:
         m, n = 6, 9
         biased = mmd2_biased(x, y, kernel).item()
         unbiased = mmd2_unbiased(x, y, kernel).item()
-        sxx = kernel.gram_np(x, x).sum()
-        syy = kernel.gram_np(y, y).sum()
+        sxx = kernel.gram(Tensor(x), Tensor(x)).data.sum()
+        syy = kernel.gram(Tensor(y), Tensor(y)).data.sum()
         # within-set sums: biased uses S/m^2, unbiased (S - m q)/(m(m-1))
         want = biased - sxx / m ** 2 - syy / n ** 2 \
             + (sxx - m * q) / (m * (m - 1)) + (syy - n * q) / (n * (n - 1))
@@ -320,6 +328,29 @@ class TestMmdMapper:
             mp.MMDCritic = original
         critic = gen_and_critic["critic"]
         assert max(np.abs(p.data).max() for p in critic.parameters()) <= 0.07 + 1e-15
+
+    def test_non_finite_critic_objective_raises_before_critic_step(self):
+        # the NaN rows lie outside the bandwidth probe, so only the critic
+        # batches of step 0 see them
+        rng = np.random.default_rng(6)
+        source, target = rng.normal(size=(256, 5)), rng.normal(size=(256, 4))
+        probe = np.linspace(0, 255, 128).astype(int)
+        target[np.setdiff1d(np.arange(256), probe)] = np.nan
+        cfg = MapperConfig(kind="mmd", steps=3, batch=16, hidden=8, critic_hidden=8, critic_dim=4)
+        with pytest.raises(DivergenceError, match="critic.*step 0") as exc:
+            train_mmd_mapper(source, target, cfg, np.random.default_rng(7))
+        gen = MapperGenerator(5, 4, cfg.hidden, np.random.default_rng(7))
+        assert [n for n, _ in exc.value.last_good] == [n for n, _ in gen.named_parameters()]
+        for (_, saved), (_, p) in zip(exc.value.last_good, gen.named_parameters()):
+            np.testing.assert_array_equal(saved, p.data)
+
+    def test_non_finite_bandwidth_probe_raises_divergence(self):
+        rng = np.random.default_rng(8)
+        source, target = rng.normal(size=(40, 5)), rng.normal(size=(40, 4))
+        target[0] = np.nan
+        cfg = MapperConfig(kind="mmd", steps=2, batch=8, hidden=8, critic_hidden=8, critic_dim=4)
+        with pytest.raises(DivergenceError, match="probe"):
+            train_mmd_mapper(source, target, cfg, np.random.default_rng(9))
 
 
 def test_batch_too_small_rejected():

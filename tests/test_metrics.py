@@ -9,28 +9,42 @@ from xmodal.autodiff import ShapeError
 from xmodal.data import LabeledEmbeddingSet
 from xmodal.errors import FormatError
 from xmodal.mappers import KernelSpec, mmd2_unbiased
-from xmodal.metrics import (MetricReport, bleu, class_accuracy, cosine_similarity,
-                            read_metric_rows, rouge_l, two_sample_test)
+from xmodal.metrics import (MetricReport, bleu, class_accuracy, read_metric_rows, rouge_l,
+                            two_sample_test)
 
 
 class TestCosine:
+    """Class accuracy matches by cosine similarity, not by Euclidean distance."""
+
     def test_self_similarity(self):
-        v = np.array([1.0, -2.0, 0.5])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
+        # a scaled copy of a true row has similarity 1 and beats a row that
+        # is nearer in Euclidean distance
+        true_set = LabeledEmbeddingSet(np.array([[1.0, 0.0], [10.0, 1.0]]), np.array([0, 1]))
+        fake_set = LabeledEmbeddingSet(np.array([[20.0, 0.0]]), np.array([0]))
+        assert class_accuracy(true_set, fake_set) == 100.0
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        true_set = one_hot_set([0, 1])
+        assert class_accuracy(true_set, LabeledEmbeddingSet(np.array([[0.0, 3.0]]), [1])) == 100.0
 
     def test_antipodal(self):
+        # similarity -1 ranks below the 0 of an orthogonal row
         v = np.array([0.3, -1.2, 4.0])
-        assert cosine_similarity(v, -v) == pytest.approx(-1.0)
+        u = np.array([4.0, 1.0, 0.0])
+        true_set = LabeledEmbeddingSet(np.stack([v, u]), np.array([0, 1]))
+        assert class_accuracy(true_set, LabeledEmbeddingSet(-v[None], [1])) == 100.0
 
     def test_zero_vector_is_zero(self):
-        assert cosine_similarity(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
+        # similarity 0 with every true row: the tie goes to the lowest index
+        true_set = one_hot_set([0, 1])
+        assert class_accuracy(true_set, LabeledEmbeddingSet(np.zeros((1, 2)), [0])) == 100.0
+        assert class_accuracy(true_set, LabeledEmbeddingSet(np.zeros((1, 2)), [1])) == 0.0
 
     def test_dimension_mismatch(self):
+        # rows of different widths have no cosine similarity
         with pytest.raises(ShapeError):
-            cosine_similarity(np.ones(3), np.ones(4))
+            class_accuracy(LabeledEmbeddingSet(np.ones((2, 3)), np.array([0, 1])),
+                           LabeledEmbeddingSet(np.ones((1, 4)), np.array([0])))
 
 
 def one_hot_set(labels):
