@@ -8,6 +8,7 @@ checkpoint, 5 numerical divergence (last good checkpoint retained).
 from __future__ import annotations
 
 import argparse
+import fcntl
 import os
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_into, save_checkpoint, save_module
-from .config import config_lines, help_text, resolve_config
+from .config import config_lines, help_text, resolve_config, section
 from .data import (COLOR_RGB, DEFAULT_SHAPES, ColorShapesSpec, LabeledEmbeddingSet,
                    generate_colorshapes, load_caption_split, load_image_split, read_manifest,
                    read_ppm, write_embeddings, write_ppm)
@@ -68,29 +69,14 @@ def colorshapes_spec(cfg: dict, seed: int) -> ColorShapesSpec:
     unknown_shapes = [s for s in shapes if s not in DEFAULT_SHAPES]
     if unknown_colors or unknown_shapes:
         raise ConfigError(f"unknown colors {unknown_colors} or shapes {unknown_shapes}")
-    return ColorShapesSpec(colors=colors, shapes=shapes, image_size=cfg["data.image_size"],
+    spec = ColorShapesSpec(colors=colors, shapes=shapes, image_size=cfg["data.image_size"],
                            samples_per_class=cfg["data.samples_per_class"],
                            jitter_pos=cfg["data.jitter_pos"],
                            jitter_scale=cfg["data.jitter_scale"], seed=seed)
-
-
-def image_ae_config(cfg: dict) -> ImageAEConfig:
-    return ImageAEConfig(
-        branches=cfg["image_ae.branches"], base_res=cfg["image_ae.base_res"],
-        d_img=cfg["image_ae.d_img"], d_c=cfg["image_ae.d_c"], d_z=cfg["image_ae.d_z"],
-        gen_channels=cfg["image_ae.gen_channels"], disc_channels=cfg["image_ae.disc_channels"],
-        batch=cfg["image_ae.batch"], epochs=cfg["image_ae.epochs"], lr=cfg["image_ae.lr"],
-        beta1=cfg["image_ae.beta1"], beta2=cfg["image_ae.beta2"],
-        lambda_kl=cfg["image_ae.lambda_kl"], lambda_rec=cfg["image_ae.lambda_rec"])
-
-
-def mapper_config(cfg: dict) -> MapperConfig:
-    return MapperConfig(
-        kind=cfg["mapper.kind"], hidden=cfg["mapper.hidden"], batch=cfg["mapper.batch"],
-        steps=cfg["mapper.steps"], lr=cfg["mapper.lr"], n_critic=cfg["mapper.n_critic"],
-        clip=cfg["mapper.clip"], lambda_ae=cfg["mapper.lambda_ae"],
-        critic_hidden=cfg["mapper.critic_hidden"], critic_dim=cfg["mapper.critic_dim"],
-        kernel_learning=cfg["mapper.kernel_learning"])
+    if not spec.test_classes():
+        raise ConfigError(f"the {len(colors)} x {len(shapes)} color x shape grid "
+                          f"holds out no test class")
+    return spec
 
 
 def _dataset_id(ws: Workspace, cfg: dict) -> str:
@@ -109,7 +95,7 @@ def _require_dataset(ws: Workspace, cfg: dict) -> Path:
 
 def load_image_model(ws: Workspace, cfg: dict) -> ImageAutoencoder:
     path = ws.require_checkpoint("image-ae")
-    model = ImageAutoencoder(image_ae_config(cfg), np.random.default_rng(0))
+    model = ImageAutoencoder(ImageAEConfig(**section(cfg, "image_ae")), np.random.default_rng(0))
     load_into(model, path)
     return model
 
@@ -165,31 +151,6 @@ def export_embeddings(ws: Workspace, cfg: dict, split: str, img_model: ImageAuto
     return img_set, txt_set
 
 
-# -- metric CSV streaming ------------------------------------------------------
-
-
-class StepLog:
-    """Per-step metric rows streamed to a fresh CSV with provenance columns."""
-
-    def __init__(self, path: Path, cfg: dict, seed: int, dataset: str, checkpoint: str):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self.dataset = dataset
-        self.checkpoint = checkpoint
-        self.seed = seed
-        self.f = open(path, "w", encoding="utf-8", newline="\n")
-        for line in config_lines(cfg):
-            self.f.write(f"# {line}\n")
-        self.f.write(f"# seed={seed}\n")
-        self.f.write(MetricReport.HEADER + "\n")
-
-    def __call__(self, row: dict):
-        self.f.write(f"{row['metric']},{float(row['value'])!r},{self.dataset},"
-                     f"{self.checkpoint},{self.seed}\n")
-
-    def close(self):
-        self.f.close()
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -207,11 +168,17 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
     ckpt_path = ws.checkpoint(stage)
     ckpt_name = ckpt_path.name
     rng = stage_rng(seed, stage)
-    log = StepLog(ws.metrics / (stage.replace("-", "_") + ".csv"), cfg, seed, dataset_id, ckpt_name)
+    metrics_path = ws.metrics / (stage.replace("-", "_") + ".csv")
+    metrics_path.unlink(missing_ok=True)
+    report = MetricReport(metrics_path, comments=config_lines(cfg) + [f"seed={seed}"])
+
+    def log(row: dict):
+        report.append(row["metric"], row["value"], dataset_id, ckpt_name, seed)
+
     try:
         if stage == "image-ae":
             images, _ = load_image_split(dataset, "train")
-            model = ImageAutoencoder(image_ae_config(cfg), rng)
+            model = ImageAutoencoder(ImageAEConfig(**section(cfg, "image_ae")), rng)
             train_image_autoencoder(model, images, rng, log=log)
             save_module(model, ckpt_path)
         elif stage == "text-ae":
@@ -232,16 +199,13 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
                 source, target = img_set.embeddings, txt_set.embeddings
             else:
                 source, target = txt_set.embeddings, img_set.embeddings
-            mcfg = mapper_config(cfg)
+            mcfg = MapperConfig(**section(cfg, "mapper"))
             train = train_gan_mapper if mcfg.kind == "gan" else train_mmd_mapper
-            gen, _ = train(source, target, mcfg, rng, log=log)
-            save_module(gen, ckpt_path)
+            save_module(train(source, target, mcfg, rng, log=log), ckpt_path)
     except DivergenceError as e:
         if e.last_good is not None:
             save_checkpoint(ckpt_path, e.last_good)
         raise
-    finally:
-        log.close()
     print(f"stage {stage}: checkpoint {ckpt_path}")
     return 0
 
@@ -281,14 +245,13 @@ def cmd_translate(ws: Workspace, cfg: dict, seed: int, direction: str,
     return 0
 
 
-def _text_overlap_rows(txt_model: TextAutoencoder, vocab: Vocabulary, records) -> dict:
-    from .text_ae import roundtrip
+def _text_overlap_rows(txt_model: TextAutoencoder, vocab: Vocabulary, records,
+                       embeddings: np.ndarray) -> dict:
+    """Overlap of each caption with the decoding of its sentence embedding."""
     bleu1_sum = bleu4_sum = rouge_sum = exact = 0
-    for _, tokens in records:
-        ids = vocab.encode(tokens)
-        decoded = roundtrip(txt_model, ids)
-        reference = vocab.decode(ids)
-        candidate = vocab.decode(decoded)
+    for (_, tokens), emb in zip(records, embeddings):
+        reference = vocab.decode(vocab.encode(tokens))
+        candidate = vocab.decode(decode_text(txt_model, emb))
         exact += int(candidate == reference)
         if candidate:
             bleu1_sum += bleu(candidate, [reference], max_n=1)
@@ -324,18 +287,16 @@ def cmd_evaluate(ws: Workspace, cfg: dict, seed: int, split: str) -> int:
                           comments=config_lines(cfg) + [f"seed={seed}"])
     dataset_ref = f"{dataset_id}/{split}"
 
-    rows = _text_overlap_rows(txt_model, vocab, load_caption_split(ws.dataset_dir(cfg), split))
+    rows = _text_overlap_rows(txt_model, vocab, load_caption_split(ws.dataset_dir(cfg), split),
+                              split_sets["txt"].embeddings)
     for name, value in rows.items():
         report.append(name, value, dataset_ref, "text_ae.ckpt", seed)
 
     for direction, (src_mod, dst_mod) in {"i2t": ("img", "txt"), "t2i": ("txt", "img")}.items():
         src_split = split_sets[src_mod]
         mapped = map_embedding(mappers[direction], src_split.embeddings)
-        fake_set = LabeledEmbeddingSet(mapped, src_split.labels)
-        if cfg["eval.debug_self_match"]:
-            fake_set = reference[dst_mod]
         ckpt = f"mapper_{direction}.ckpt"
-        acc = class_accuracy(reference[dst_mod], fake_set)
+        acc = class_accuracy(reference[dst_mod], LabeledEmbeddingSet(mapped, src_split.labels))
         report.append(f"class_acc_{direction}", acc, dataset_ref, ckpt, seed)
 
         true_split = split_sets[dst_mod].embeddings
@@ -382,23 +343,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Lock:
+    """An exclusive flock on `<root>/.lock`. The kernel drops it when the
+    holder exits, however it exits, so a killed run leaves no stale lock;
+    the file itself stays."""
+
     def __init__(self, root: Path):
         self.path = root / ".lock"
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self.fd)
             raise FormatError(f"working directory is locked by another run: {self.path}") from None
-        os.close(fd)
         return self
 
     def __exit__(self, *exc):
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        os.close(self.fd)
 
 
 def main(argv=None) -> int:

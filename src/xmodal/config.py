@@ -65,7 +65,6 @@ DEFAULTS: dict[str, tuple] = {
     "mapper.kernel_learning": (True, _bool, "learn critic features; false = fixed kernel"),
 
     "eval.permutations": (500, int, "permutations for the two-sample test"),
-    "eval.debug_self_match": (False, _bool, "debug: evaluate the true set against itself"),
 
     "translate.sample": (False, _bool, "sample the conditioning variable instead of using its mean"),
 }
@@ -105,9 +104,18 @@ def _validate(cfg: dict):
     if cfg["mapper.kind"] not in ("gan", "mmd"):
         raise ConfigError(f"mapper.kind must be 'gan' or 'mmd', got {cfg['mapper.kind']!r}")
     for key in ("data.samples_per_class", "image_ae.batch", "text_ae.batch", "mapper.batch",
-                "mapper.steps", "eval.permutations"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be positive")
+                "mapper.steps", "eval.permutations", "image_ae.lr", "text_ae.lr", "mapper.lr",
+                "mapper.clip", "image_ae.d_img", "image_ae.d_c", "text_ae.hidden",
+                "text_ae.embed_dim", "text_ae.max_len", "mapper.hidden", "mapper.critic_hidden",
+                "mapper.critic_dim"):
+        if not cfg[key] > 0:  # also rejects NaN
+            raise ConfigError(f"{key} must be positive, got {cfg[key]}")
+
+
+def section(cfg: dict, namespace: str) -> dict:
+    """The keys of one namespace, without the `namespace.` prefix."""
+    prefix = namespace + "."
+    return {key[len(prefix):]: value for key, value in cfg.items() if key.startswith(prefix)}
 
 
 def config_lines(cfg: dict) -> list[str]:

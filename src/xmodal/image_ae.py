@@ -310,12 +310,12 @@ def downsample_to(images: np.ndarray, resolution: int) -> np.ndarray:
 
 
 def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
-                            rng: np.random.Generator, log=None) -> list[dict]:
+                            rng: np.random.Generator, log=None) -> None:
     """Alternating per-branch discriminator updates and one generator-side update.
 
-    `images` is (N, 3, top_res, top_res) in [-1, 1]. Returns per-step metric
-    rows; raises DivergenceError (with .last_good parameter snapshot) when a
-    loss turns non-finite.
+    `images` is (N, 3, top_res, top_res) in [-1, 1]. Per-step metric rows go
+    to `log`; raises DivergenceError (with .last_good parameter snapshot) when
+    a loss or the conditioning moments turn non-finite.
     """
     cfg = model.cfg
     n_total = images.shape[0]
@@ -329,36 +329,41 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
                  for d in model.discriminators]
 
     run = TrainingRun(model.named_parameters(), log)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_total)
-        for start in range(0, n_total - cfg.batch + 1, cfg.batch):
-            idx = order[start:start + cfg.batch]
-            x = Tensor(images[idx])
+    try:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n_total)
+            for start in range(0, n_total - cfg.batch + 1, cfg.batch):
+                idx = order[start:start + cfg.batch]
+                x = Tensor(images[idx])
 
-            # discriminator phase: fakes and conditioning detached
-            with ad.no_grad():
+                # discriminator phase: fakes and conditioning detached
+                with ad.no_grad():
+                    psi = model.encoder(x)
+                    c_hat, _ = model.augment(psi, rng)
+                    z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))
+                    fakes = model.generator(c_hat, z)
+                for i, (disc, opt) in enumerate(zip(model.discriminators, disc_opts)):
+                    real_i = Tensor(reals_by_branch[i][idx])
+                    d_loss = discriminator_loss(disc, real_i, fakes[i], c_hat)
+                    run.emit(f"d_loss_{i}",
+                             run.minimize(opt, d_loss, f"image autoencoder discriminator {i} loss"))
+
+                # generator phase: fresh forward, discriminators frozen
                 psi = model.encoder(x)
-                c_hat, _ = model.augment(psi, rng)
+                c_hat, kl = model.augment(psi, rng)
                 z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))
                 fakes = model.generator(c_hat, z)
-            for i, (disc, opt) in enumerate(zip(model.discriminators, disc_opts)):
-                real_i = Tensor(reals_by_branch[i][idx])
-                d_loss = discriminator_loss(disc, real_i, fakes[i], c_hat)
-                run.emit(f"d_loss_{i}",
-                         run.minimize(opt, d_loss, f"image autoencoder discriminator {i} loss"))
-
-            # generator phase: fresh forward, discriminators frozen
-            psi = model.encoder(x)
-            c_hat, kl = model.augment(psi, rng)
-            z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))
-            fakes = model.generator(c_hat, z)
-            g_adv = generator_adversarial_loss(model.discriminators, fakes, c_hat)
-            rec = l1_reconstruction(fakes[-1], x)
-            total = ad.add(g_adv, ad.add(ad.scale(kl, cfg.lambda_kl), ad.scale(rec, cfg.lambda_rec)))
-            g_total = run.minimize(gen_opt, total, "image autoencoder generator loss")
-            run.emit("g_adv", g_adv.item())
-            run.emit("kl", kl.item())
-            run.emit("l1_rec", rec.item())
-            run.emit("g_total", g_total)
-            run.snapshot()
-    return run.metrics
+                g_adv = generator_adversarial_loss(model.discriminators, fakes, c_hat)
+                rec = l1_reconstruction(fakes[-1], x)
+                total = ad.add(g_adv, ad.add(ad.scale(kl, cfg.lambda_kl),
+                                             ad.scale(rec, cfg.lambda_rec)))
+                g_total = run.minimize(gen_opt, total, "image autoencoder generator loss")
+                run.emit("g_adv", g_adv.item())
+                run.emit("kl", kl.item())
+                run.emit("l1_rec", rec.item())
+                run.emit("g_total", g_total)
+                run.snapshot()
+    except DivergenceError as e:  # non-finite conditioning moments carry no snapshot
+        if e.last_good is None:
+            e.last_good = run.last_good
+        raise

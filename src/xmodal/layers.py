@@ -75,9 +75,7 @@ class Conv2dLayer(Module):
 
 
 class EmbeddingTable(Module):
-    """Trainable token embeddings with fixed special ids."""
-
-    PAD, BOS, EOS, UNK = 0, 1, 2, 3
+    """Trainable token embeddings."""
 
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         super().__init__()

@@ -198,7 +198,7 @@ def _check_sets(source: np.ndarray, target: np.ndarray, cfg: MapperConfig):
 
 
 def train_gan_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
-                     rng: np.random.Generator, log=None) -> tuple[MapperGenerator, list[dict]]:
+                     rng: np.random.Generator, log=None) -> MapperGenerator:
     """Alternating discriminator/generator updates with the cross-entropy GAN loss."""
     _check_sets(source, target, cfg)
     gen = MapperGenerator(source.shape[1], target.shape[1], cfg.hidden, rng)
@@ -221,7 +221,7 @@ def train_gan_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
         run.snapshot()
         run.emit("d_loss", d_value)
         run.emit("g_loss", g_value)
-    return gen, run.metrics
+    return gen
 
 
 def _strided_sample(rows: np.ndarray, count: int) -> np.ndarray:
@@ -231,7 +231,7 @@ def _strided_sample(rows: np.ndarray, count: int) -> np.ndarray:
 
 
 def train_mmd_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
-                     rng: np.random.Generator, log=None) -> tuple[MapperGenerator, list[dict]]:
+                     rng: np.random.Generator, log=None) -> MapperGenerator:
     """Minimize unbiased MMD^2, optionally through adversarially learned features.
 
     With kernel_learning, each generator step is preceded by n_critic critic
@@ -282,4 +282,4 @@ def train_mmd_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
         value = run.minimize(g_opt, loss, f"mmd mapper loss at step {step}")
         run.snapshot()
         run.emit("mmd2", value)
-    return gen, run.metrics
+    return gen

@@ -45,20 +45,17 @@ class TrainingRun:
 
     `named_params` are the (name, tensor) pairs a divergence checkpoint holds.
     `snapshot()` copies them; construction takes the first copy. Each emitted
-    row goes to `metrics` and, when given, to `log`.
+    row goes to `log`, when given.
     """
 
     def __init__(self, named_params, log=None):
         self.named_params = list(named_params)
         self.log = log
-        self.metrics: list[dict] = []
         self.snapshot()
 
     def emit(self, name: str, value: float):
-        row = {"metric": name, "value": value}
-        self.metrics.append(row)
         if self.log:
-            self.log(row)
+            self.log({"metric": name, "value": value})
 
     def snapshot(self):
         self.last_good = [(name, p.data.copy()) for name, p in self.named_params]

@@ -198,8 +198,8 @@ def _length_batches(records_ids: list[np.ndarray], batch_size: int,
 
 def train_text_autoencoder(records: list[tuple[int, list[str]]], vocab: Vocabulary,
                            model: TextAutoencoder, epochs: int, batch_size: int, lr: float,
-                           rng: np.random.Generator, log=None) -> list[dict]:
-    """Teacher-forced training on a caption corpus; returns per-epoch metrics.
+                           rng: np.random.Generator, log=None) -> None:
+    """Teacher-forced training on a caption corpus; per-epoch metric rows go to `log`.
 
     Raises DivergenceError (carrying the last finite-loss parameter snapshot)
     if the loss goes non-finite.
@@ -230,4 +230,3 @@ def train_text_autoencoder(records: list[tuple[int, list[str]]], vocab: Vocabula
             epoch_tokens += n_tok
         run.snapshot()
         run.emit("ce_epoch", epoch_loss / epoch_tokens)
-    return run.metrics

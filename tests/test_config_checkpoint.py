@@ -1,5 +1,6 @@
 """Config parsing and binary checkpoint format."""
 
+import dataclasses
 import struct
 import zlib
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 from xmodal.checkpoint import load_checkpoint, load_into, save_checkpoint, save_module
-from xmodal.config import DEFAULTS, config_lines, help_text, resolve_config
+from xmodal.config import DEFAULTS, config_lines, help_text, resolve_config, section
 from xmodal.errors import ConfigError, FormatError
+from xmodal.image_ae import ImageAEConfig
 from xmodal.layers import DenseLayer
+from xmodal.mappers import MapperConfig
 
 
 class TestConfig:
@@ -56,10 +59,10 @@ class TestConfig:
 
     def test_bool_parsing(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("mapper.kernel_learning = false\neval.debug_self_match = TRUE\n")
+        path.write_text("mapper.kernel_learning = false\ntranslate.sample = TRUE\n")
         cfg = resolve_config(path)
         assert cfg["mapper.kernel_learning"] is False
-        assert cfg["eval.debug_self_match"] is True
+        assert cfg["translate.sample"] is True
 
     def test_help_documents_every_key(self):
         text = help_text()
@@ -72,6 +75,13 @@ class TestConfig:
         lines = config_lines(cfg)
         assert lines == sorted(lines)
         assert len(lines) == len(DEFAULTS)
+
+    @pytest.mark.parametrize("namespace, cls", [("image_ae", ImageAEConfig),
+                                                ("mapper", MapperConfig)])
+    def test_section_matches_component_config(self, namespace, cls):
+        values = section(resolve_config(None), namespace)
+        assert set(values) == {f.name for f in dataclasses.fields(cls)}
+        assert cls(**values) == cls()
 
 
 class TestCheckpoint:

@@ -302,13 +302,14 @@ class TestTrainingSmoke:
                            for c in rng.integers(0, 16, size=64)])
         cfg = ImageAEConfig(batch=16, epochs=50)  # 4 steps/epoch -> 200 steps
         model = ImageAutoencoder(cfg, np.random.default_rng(31))
-        metrics = train_image_autoencoder(model, images, np.random.default_rng(32))
-        l1 = [m["value"] for m in metrics if m["metric"] == "l1_rec"]
+        rows = []
+        train_image_autoencoder(model, images, np.random.default_rng(32), log=rows.append)
+        l1 = [m["value"] for m in rows if m["metric"] == "l1_rec"]
         assert len(l1) == 200
         assert l1[-1] <= 0.5 * l1[0] or np.mean(l1[-4:]) <= 0.5 * l1[0]
         band_hi = 8.0 * np.log(2.0)
         for name in ("d_loss_0", "d_loss_1", "d_loss_2"):
-            d = np.array([m["value"] for m in metrics if m["metric"] == name])
+            d = np.array([m["value"] for m in rows if m["metric"] == name])
             assert np.all(d > 0.0) and np.all(d < band_hi)
 
     def test_checkpoint_roundtrip_reproduces_outputs(self, tmp_path):

@@ -9,6 +9,7 @@ from xmodal import autodiff as ad
 from xmodal.autodiff import ShapeError, Tensor, backward, gradient_check
 from xmodal.layers import (Conv2dLayer, DenseLayer, EmbeddingTable, LSTMCell, bilstm_encode,
                            glorot_uniform, lstm_run, max_over_time)
+from xmodal.text_ae import Vocabulary
 
 
 def rng_for(seed=0):
@@ -221,11 +222,12 @@ class TestInit:
 
 class TestEmbeddingTable:
     def test_lookup_shape_and_specials(self):
+        # the special ids, which Vocabulary owns, are the first four rows
         table = EmbeddingTable(10, 6, rng_for(0))
-        assert (table.PAD, table.BOS, table.EOS, table.UNK) == (0, 1, 2, 3)
-        out = table(np.array([[0, 1], [9, 3]]))
-        assert out.shape == (2, 2, 6)
-        np.testing.assert_array_equal(out.data[0, 0], table.table.data[0])
+        specials = [Vocabulary.PAD, Vocabulary.BOS, Vocabulary.EOS, Vocabulary.UNK]
+        out = table(np.array([specials, [9, 3, 9, 3]]))
+        assert out.shape == (2, 4, 6)
+        np.testing.assert_array_equal(out.data[0], table.table.data[:4])
 
     def test_out_of_range_rejected(self):
         table = EmbeddingTable(10, 6, rng_for(1))

@@ -217,7 +217,7 @@ class TestGanMapper:
         rng = np.random.default_rng(0)
         source, target = rng.normal(size=(64, 6)), rng.normal(size=(64, 4))
         cfg = MapperConfig(kind="gan", steps=1, hidden=16, lr=0.0)
-        gen, metrics = train_gan_mapper(source, target, cfg, np.random.default_rng(1))
+        train_gan_mapper(source, target, cfg, np.random.default_rng(1))
         # lr=0 keeps parameters at init but the init is not uniform; evaluate
         # the loss formula directly instead
         from xmodal.mappers import MapperDiscriminator
@@ -240,8 +240,9 @@ class TestGanMapper:
         source = np.full((100, 8), 50.0)
         target = np.full((100, 6), -50.0)
         cfg = MapperConfig(kind="gan", steps=500, hidden=64)
-        _, metrics = train_gan_mapper(source, target, cfg, np.random.default_rng(1))
-        d = [m["value"] for m in metrics if m["metric"] == "d_loss"]
+        rows = []
+        train_gan_mapper(source, target, cfg, np.random.default_rng(1), log=rows.append)
+        d = [m["value"] for m in rows if m["metric"] == "d_loss"]
         assert min(d) < 0.1
 
     def test_training_improves_mmd(self):
@@ -249,7 +250,7 @@ class TestGanMapper:
         source = rng.normal(size=(200, 8)) + 2.0
         target = rng.normal(size=(200, 5)) - 1.0
         cfg = MapperConfig(kind="gan", steps=300, hidden=64, lr=1e-3)
-        gen, _ = train_gan_mapper(source, target, cfg, np.random.default_rng(8))
+        gen = train_gan_mapper(source, target, cfg, np.random.default_rng(8))
         untrained = MapperGenerator(8, 5, 64, np.random.default_rng(9))
         kernel = mixture_kernel(median_heuristic(target, target))
         before = mmd2_unbiased(map_embedding(untrained, source), target, kernel).item()
@@ -264,13 +265,15 @@ class TestMmdMapper:
         rng = np.random.default_rng(0)
         source, target = rng.normal(size=(100, 6)), rng.normal(size=(100, 4))
         cfg = MapperConfig(kind="mmd", steps=3, lr=0.0, kernel_learning=False, batch=16)
-        _, metrics = train_mmd_mapper(source, target, cfg, np.random.default_rng(5))
+        rows = []
+        train_mmd_mapper(source, target, cfg, np.random.default_rng(5), log=rows.append)
+        assert len(rows) == 3
 
         # replay: generator init consumes the stream first, then batch draws
         replay = np.random.default_rng(5)
         gen2 = MapperGenerator(6, 4, cfg.hidden, replay)
         kernel = mixture_kernel(median_heuristic(target, map_embedding(gen2, source)))
-        for row in metrics:
+        for row in rows:
             xb = target[replay.integers(0, 100, size=16)]
             fake = map_embedding(gen2, source[replay.integers(0, 100, size=16)])
             want = mmd2_unbiased(xb, fake, kernel).item()
@@ -302,8 +305,9 @@ class TestMmdMapper:
         source = centers_s[rng.integers(0, 3, size=300)] + rng.normal(size=(300, 8)) * 0.1
         target = centers_t[rng.integers(0, 3, size=300)] + rng.normal(size=(300, 6)) * 0.1
         cfg = MapperConfig(kind="mmd", steps=400)
-        _, metrics = train_mmd_mapper(source, target, cfg, np.random.default_rng(3))
-        mm = [m["value"] for m in metrics if m["metric"] == "mmd2"]
+        rows = []
+        train_mmd_mapper(source, target, cfg, np.random.default_rng(3), log=rows.append)
+        mm = [m["value"] for m in rows if m["metric"] == "mmd2"]
         assert np.mean(mm[-20:]) <= 0.5 * np.mean(mm[:20])
 
     def test_critic_clipping_invariant(self):

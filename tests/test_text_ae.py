@@ -182,9 +182,10 @@ class TestTraining:
         vocab = Vocabulary.from_corpus(CORPUS)
         model = make_model(vocab, seed=8)
         rng = np.random.default_rng(8)
-        metrics = train_text_autoencoder(CORPUS, vocab, model, epochs=10, batch_size=1,
-                                         lr=3e-3, rng=rng)
-        values = [m["value"] for m in metrics]
+        rows = []
+        train_text_autoencoder(CORPUS, vocab, model, epochs=10, batch_size=1, lr=3e-3, rng=rng,
+                               log=rows.append)
+        values = [m["value"] for m in rows]
         assert values[-1] < values[0]
 
     @pytest.mark.slow
