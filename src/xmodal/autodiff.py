@@ -85,12 +85,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray):
         if not self.requires_grad:
             return
@@ -98,47 +92,6 @@ class Tensor:
             self.grad = np.array(g, dtype=np.float64)  # copy: g may alias a live buffer
         else:
             self.grad += g
-
-    # -- operator sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None):
-        return reduce("sum", self, axis)
-
-    def mean(self, axis=None):
-        return reduce("mean", self, axis)
-
-    def max(self, axis=None):
-        return reduce("max", self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _make_node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:

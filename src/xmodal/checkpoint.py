@@ -81,8 +81,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             if name in out:
                 raise FormatError(f"{path}: duplicate tensor name {name!r}")
             out[name] = arr.copy()
-    except struct.error as e:
-        raise FormatError(f"{path}: truncated checkpoint ({e})") from None
+    except FormatError:
+        raise
+    except (struct.error, ValueError) as e:  # truncation, a name not UTF-8, dims numpy rejects
+        raise FormatError(f"{path}: malformed checkpoint ({e})") from None
     if pos != len(blob) - 4:
         raise FormatError(f"{path}: trailing bytes after tensor payload")
     return out

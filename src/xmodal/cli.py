@@ -20,7 +20,7 @@ from .config import config_lines, help_text, resolve_config, section
 from .data import (COLOR_RGB, DEFAULT_SHAPES, ColorShapesSpec, LabeledEmbeddingSet,
                    generate_colorshapes, load_caption_split, load_image_split, read_manifest,
                    read_ppm, write_embeddings, write_ppm)
-from .errors import ConfigError, DivergenceError, FormatError, MissingDependencyError
+from .errors import ConfigError, DivergenceError, FormatError, MissingDependencyError, read_utf8
 from .image_ae import (ImageAEConfig, ImageAutoencoder, encode_image, encode_image_batch,
                        generate_images, train_image_autoencoder)
 from .mappers import (MapperConfig, MapperGenerator, map_embedding, median_heuristic,
@@ -90,6 +90,16 @@ def _require_dataset(ws: Workspace, cfg: dict) -> Path:
     return root
 
 
+def _captions(ws: Workspace, cfg: dict, split: str) -> list[tuple[int, list[str]]]:
+    """The caption records of a split; each must fit the text model."""
+    records = load_caption_split(_require_dataset(ws, cfg), split)
+    bad = [len(tokens) for _, tokens in records if not 1 <= len(tokens) <= cfg["text_ae.max_len"]]
+    if bad:
+        raise FormatError(f"{ws.dataset_dir(cfg) / split / 'captions.tsv'}: a caption of {bad[0]} "
+                          f"tokens, the text model takes 1 to {cfg['text_ae.max_len']}")
+    return records
+
+
 # -- model loading -----------------------------------------------------------
 
 
@@ -144,7 +154,7 @@ def export_embeddings(ws: Workspace, cfg: dict, split: str, img_model: ImageAuto
     dataset = _require_dataset(ws, cfg)
     images, labels = load_image_split(dataset, split)
     img_set = encode_image_set(img_model, images, labels)
-    txt_set = encode_caption_set(txt_model, vocab, load_caption_split(dataset, split))
+    txt_set = encode_caption_set(txt_model, vocab, _captions(ws, cfg, split))
     ws.embeddings.mkdir(parents=True, exist_ok=True)
     write_embeddings(img_set, ws.embeddings / f"img_{split}.emb")
     write_embeddings(txt_set, ws.embeddings / f"txt_{split}.emb")
@@ -182,7 +192,7 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
             train_image_autoencoder(model, images, rng, log=log)
             save_module(model, ckpt_path)
         elif stage == "text-ae":
-            records = load_caption_split(dataset, "train")
+            records = _captions(ws, cfg, "train")
             vocab = Vocabulary.from_corpus(records)
             model = TextAutoencoder(len(vocab), cfg["text_ae.embed_dim"], cfg["text_ae.hidden"],
                                     rng, max_len=cfg["text_ae.max_len"])
@@ -231,8 +241,7 @@ def cmd_translate(ws: Workspace, cfg: dict, seed: int, direction: str,
         print(caption)
     else:
         mapper = load_mapper(ws, cfg, "mapper-t2i")
-        text = Path(input_path).read_text(encoding="utf-8").strip()
-        tokens = tokenize(text)
+        tokens = tokenize(read_utf8(input_path))
         if not 1 <= len(tokens) <= txt_model.max_len:
             raise FormatError(f"{input_path}: {len(tokens)} tokens in input text, "
                               f"the model takes 1 to {txt_model.max_len}")
@@ -287,7 +296,7 @@ def cmd_evaluate(ws: Workspace, cfg: dict, seed: int, split: str) -> int:
                           comments=config_lines(cfg) + [f"seed={seed}"])
     dataset_ref = f"{dataset_id}/{split}"
 
-    rows = _text_overlap_rows(txt_model, vocab, load_caption_split(ws.dataset_dir(cfg), split),
+    rows = _text_overlap_rows(txt_model, vocab, _captions(ws, cfg, split),
                               split_sets["txt"].embeddings)
     for name, value in rows.items():
         report.append(name, value, dataset_ref, "text_ae.ckpt", seed)

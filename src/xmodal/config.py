@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError, read_utf8
 
 
 def _bool(text: str) -> bool:
@@ -27,8 +27,8 @@ DEFAULTS: dict[str, tuple] = {
     "data.shapes": ("circle,square,triangle,cross", str, "comma-separated shape names"),
     "data.image_size": (32, int, "square image resolution; must equal the top branch resolution"),
     "data.samples_per_class": (24, int, "generated samples per class"),
-    "data.jitter_pos": (3.0, float, "position jitter in pixels"),
-    "data.jitter_scale": (0.15, float, "relative scale jitter"),
+    "data.jitter_pos": (3.0, float, "position jitter in pixels, at most data.image_size / 2"),
+    "data.jitter_scale": (0.15, float, "relative scale jitter, in [0, 1)"),
 
     "image_ae.branches": (3, int, "generator branches; resolution doubles per branch"),
     "image_ae.base_res": (8, int, "resolution of the first branch"),
@@ -78,7 +78,11 @@ def resolve_config(path=None) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = read_utf8(path)
+    except FormatError as e:
+        raise ConfigError(str(e)) from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -103,13 +107,18 @@ def _validate(cfg: dict):
                           f"resolution {top} (base_res * 2^(branches-1))")
     if cfg["mapper.kind"] not in ("gan", "mmd"):
         raise ConfigError(f"mapper.kind must be 'gan' or 'mmd', got {cfg['mapper.kind']!r}")
-    for key in ("data.samples_per_class", "image_ae.batch", "text_ae.batch", "mapper.batch",
-                "mapper.steps", "eval.permutations", "image_ae.lr", "text_ae.lr", "mapper.lr",
-                "mapper.clip", "image_ae.d_img", "image_ae.d_c", "text_ae.hidden",
-                "text_ae.embed_dim", "text_ae.max_len", "mapper.hidden", "mapper.critic_hidden",
-                "mapper.critic_dim"):
+    for key in ("data.samples_per_class", "image_ae.batch", "text_ae.batch", "mapper.steps",
+                "eval.permutations", "image_ae.lr", "text_ae.lr", "mapper.lr", "mapper.clip",
+                "image_ae.d_img", "image_ae.d_c", "text_ae.hidden", "text_ae.embed_dim",
+                "text_ae.max_len", "mapper.hidden", "mapper.critic_hidden", "mapper.critic_dim"):
         if not cfg[key] > 0:  # also rejects NaN
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
+    if cfg["mapper.batch"] < 2:
+        raise ConfigError(f"mapper.batch must be at least 2, got {cfg['mapper.batch']}")
+    pos, scale = cfg["data.jitter_pos"], cfg["data.jitter_scale"]
+    if not (0 <= 2 * pos <= cfg["data.image_size"] and 0 <= scale < 1):
+        raise ConfigError(f"data.jitter_pos must lie in [0, data.image_size / 2] and "
+                          f"data.jitter_scale in [0, 1), got {pos} and {scale}")
 
 
 def section(cfg: dict, namespace: str) -> dict:

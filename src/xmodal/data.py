@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, read_utf8
 from .text_ae import tokenize
 
 DEFAULT_COLORS = ("red", "green", "blue", "yellow")
@@ -193,7 +193,7 @@ def read_embeddings(path) -> LabeledEmbeddingSet:
 def load_caption_corpus(path) -> list[tuple[int, list[str]]]:
     """Parse class_id<TAB>caption lines into (class_id, tokens) records."""
     records = []
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line:
             continue
@@ -307,7 +307,7 @@ def read_manifest(dataset_dir) -> dict:
     if not path.is_file():
         raise FormatError(f"missing dataset manifest: {path}")
     out = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_utf8(path).splitlines():
         if line and "=" in line:
             k, v = line.split("=", 1)
             out[k] = v
@@ -321,7 +321,7 @@ def load_image_split(dataset_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
     if not index.is_file():
         raise FormatError(f"missing image index: {index}")
     images, labels = [], []
-    for lineno, line in enumerate(index.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(index).splitlines(), start=1):
         if not line:
             continue
         if "\t" not in line:

@@ -1,4 +1,6 @@
-"""Exceptions shared across modules, mapped to CLI exit codes in cli.py."""
+"""Exceptions shared across modules (mapped to CLI exit codes in cli.py) and a UTF-8 reader."""
+
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -23,3 +25,11 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, last_good=None):
         super().__init__(message)
         self.last_good = last_good
+
+
+def read_utf8(path) -> str:
+    """The text of the file at `path`; bytes that are not UTF-8 raise FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text at byte offset {e.start}") from None

@@ -93,7 +93,7 @@ class CondAugment(Module):
         logvar = ad.narrow(both, 1, self.cfg.d_c, self.cfg.d_c)
         return mu, logvar
 
-    def __call__(self, psi: Tensor, rng: np.random.Generator | None,
+    def __call__(self, psi: Tensor, rng: np.random.Generator,
                  sample: bool = True) -> tuple[Tensor, Tensor]:
         """Return (c_hat, kl). With sample=False, c_hat = mu (inference mode)."""
         mu, logvar = self.moments(psi)
@@ -275,9 +275,7 @@ def encode_image(model: ImageAutoencoder, image: np.ndarray) -> np.ndarray:
     cfg = model.cfg
     if data.shape != (3, cfg.top_res, cfg.top_res):
         raise ShapeError(f"encode_image expects (3, {cfg.top_res}, {cfg.top_res}), got {data.shape}")
-    with ad.no_grad():
-        psi = model.encoder(Tensor(data[None]))
-    return psi.data[0].copy()
+    return encode_image_batch(model, data[None])[0]
 
 
 def encode_image_batch(model: ImageAutoencoder, images: np.ndarray) -> np.ndarray:
@@ -285,7 +283,7 @@ def encode_image_batch(model: ImageAutoencoder, images: np.ndarray) -> np.ndarra
         return model.encoder(Tensor(images)).data.copy()
 
 
-def generate_images(model: ImageAutoencoder, psi: np.ndarray, rng: np.random.Generator | None,
+def generate_images(model: ImageAutoencoder, psi: np.ndarray, rng: np.random.Generator,
                     sample_augment: bool = False) -> list[np.ndarray]:
     """Embedding -> branch images. With sample_augment=False, c_hat = mu and
     only the auxiliary noise z is drawn."""
@@ -294,8 +292,7 @@ def generate_images(model: ImageAutoencoder, psi: np.ndarray, rng: np.random.Gen
         psi = psi[None]
     with ad.no_grad():
         c_hat, _ = model.augment(Tensor(psi), rng, sample=sample_augment)
-        z = Tensor(rng.standard_normal((psi.shape[0], model.cfg.d_z)) if rng is not None
-                   else np.zeros((psi.shape[0], model.cfg.d_z)))
+        z = Tensor(rng.standard_normal((psi.shape[0], model.cfg.d_z)))
         images = model.generator(c_hat, z)
     return [u.data.copy() for u in images]
 
@@ -304,8 +301,7 @@ def downsample_to(images: np.ndarray, resolution: int) -> np.ndarray:
     """Average-pool (N, 3, S, S) down to the requested square resolution."""
     out = images
     while out.shape[-1] > resolution:
-        n, c, h, w = out.shape
-        out = out.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        out = ad.avgpool2x(Tensor(out)).data
     return out
 
 

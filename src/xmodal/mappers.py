@@ -99,8 +99,8 @@ def median_heuristic(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.median(upper) / 2.0))
 
 
-def mixture_kernel(sigma0: float, scales=BANDWIDTH_SCALES) -> KernelSpec:
-    return KernelSpec(tuple(sigma0 * s for s in scales))
+def mixture_kernel(sigma0: float) -> KernelSpec:
+    return KernelSpec(tuple(sigma0 * s for s in BANDWIDTH_SCALES))
 
 
 class MapperGenerator(Module):

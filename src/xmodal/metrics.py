@@ -129,9 +129,8 @@ def _mmd2_unbiased_gram(k: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
     return float(within_x + within_y - 2.0 * kxy.mean())
 
 
-def two_sample_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
-                    permutations: int = 500, rng: np.random.Generator | None = None
-                    ) -> tuple[float, float]:
+def two_sample_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, permutations: int,
+                    rng: np.random.Generator) -> tuple[float, float]:
     """Permutation test with the unbiased MMD^2 statistic.
 
     p = (1 + #{permuted >= observed}) / (permutations + 1).
@@ -143,8 +142,6 @@ def two_sample_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ShapeError("two_sample_test needs at least 2 samples per batch")
-    if rng is None:
-        rng = np.random.default_rng()
     pooled = np.concatenate([x, y])
     gram = kernel.gram(Tensor(pooled), Tensor(pooled)).data
     observed = _mmd2_unbiased_gram(gram, np.arange(n), np.arange(n, n + m))

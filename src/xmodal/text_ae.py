@@ -3,7 +3,7 @@
 Bidirectional LSTM encoder (hidden 50 per direction) with max-over-time
 pooling produces a 100-dim sentence embedding; a unidirectional LSTM
 decoder (hidden 100) initialized from that embedding regenerates the token
-sequence. Trained with teacher forcing and PAD-masked cross-entropy.
+sequence. Trained with teacher forcing and token cross-entropy.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .errors import FormatError
+from .errors import FormatError, read_utf8
 from .layers import DenseLayer, EmbeddingTable, LSTMCell, Module, bilstm_encode, max_over_time
 from .optim import Adam, TrainingRun
 
@@ -59,7 +59,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_utf8(path).splitlines()
         if lines[:4] != list(cls.SPECIALS):
             raise FormatError(f"{path}: vocabulary must start with {cls.SPECIALS}")
         vocab = cls.__new__(cls)
@@ -115,24 +115,13 @@ class TextAutoencoder(Module):
 
 def decoder_loss(model: TextAutoencoder, s: Tensor, input_ids: np.ndarray,
                  target_ids: np.ndarray) -> Tensor:
-    """Mean token cross-entropy with PAD targets masked out."""
+    """Mean token cross-entropy; equal-length batches hold no padding targets."""
     target_ids = np.asarray(target_ids)
-    logits = model.decoder_logits(s, input_ids)
     total = None
-    count = 0
-    for t, step_logits in enumerate(logits):
-        targets = target_ids[t]
-        mask = targets != Vocabulary.PAD
-        if not mask.any():
-            continue
-        logp = ad.gather_index(ad.log_softmax(step_logits), targets)
-        masked = ad.mul(logp, Tensor(mask.astype(np.float64)))
-        step_sum = ad.reduce("sum", masked)
+    for targets, step_logits in zip(target_ids, model.decoder_logits(s, input_ids)):
+        step_sum = ad.reduce("sum", ad.gather_index(ad.log_softmax(step_logits), targets))
         total = step_sum if total is None else ad.add(total, step_sum)
-        count += int(mask.sum())
-    if total is None:
-        raise ShapeError("decoder_loss: all targets are PAD")
-    return ad.scale(ad.neg(total), 1.0 / count)
+    return ad.scale(ad.neg(total), 1.0 / target_ids.size)
 
 
 def encode_text(model: TextAutoencoder, token_ids: np.ndarray) -> np.ndarray:
@@ -147,13 +136,12 @@ def encode_text(model: TextAutoencoder, token_ids: np.ndarray) -> np.ndarray:
     return s.data[0].copy()
 
 
-def decode_text(model: TextAutoencoder, s: np.ndarray, max_len: int | None = None) -> list[int]:
-    """Greedy argmax decoding from BOS until EOS or max_len.
+def decode_text(model: TextAutoencoder, s: np.ndarray) -> list[int]:
+    """Greedy argmax decoding from BOS until EOS or the model's max_len.
 
     PAD and BOS are suppressed so they never appear in the output; argmax
     breaks ties toward the lowest token id.
     """
-    max_len = model.max_len if max_len is None else max_len
     s = np.asarray(s, dtype=np.float64).reshape(1, -1)
     if s.shape[1] != model.sentence_dim:
         raise ShapeError(f"sentence embedding dim {s.shape[1]} != {model.sentence_dim}")
@@ -161,7 +149,7 @@ def decode_text(model: TextAutoencoder, s: np.ndarray, max_len: int | None = Non
     with ad.no_grad():
         h, c = model._dec_start(Tensor(s))
         prev = np.asarray([Vocabulary.BOS])
-        for _ in range(max_len):
+        for _ in range(model.max_len):
             h, c = model.dec.step(model.embed(prev), h, c)
             logits = model.out(h).data[0].copy()
             logits[Vocabulary.PAD] = -np.inf

@@ -55,14 +55,49 @@ class TestExitCodes:
         "image_ae.lr = 0", "text_ae.lr = -1", "mapper.lr = nan", "mapper.clip = 0",
         "text_ae.hidden = 0", "text_ae.embed_dim = -2", "text_ae.max_len = 0",
         "image_ae.d_img = 0", "image_ae.d_c = 0", "mapper.hidden = 0", "mapper.critic_dim = 0",
+        "mapper.batch = 1", "data.jitter_pos = -1", "data.jitter_pos = 17",
+        "data.jitter_scale = -0.9", "data.jitter_scale = -5", "data.jitter_scale = 1",
         pytest.param("data.colors = red,green\ndata.shapes = circle,square", id="no-test-class"),
+        pytest.param("mapper.kind = gan\udcff", id="not-utf8"),  # a lone 0xff byte
     ])
     def test_bad_config_value_exits_2(self, workdir, lines):
         ws, _ = workdir
         bad = ws / "bad.cfg"
-        bad.write_text(TINY + lines + "\n")
+        bad.write_bytes((TINY + lines + "\n").encode("utf-8", "surrogateescape"))
         assert main(["datagen", "--config", str(bad)]) == 2
         assert not (ws / "dataset").exists()
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "train/captions.tsv", "train/images.tsv"])
+    def test_non_utf8_dataset_file_exits_3(self, workdir, name):
+        ws, cfg = workdir
+        assert main(["datagen", "--config", cfg]) == 0
+        path = ws / "dataset" / name
+        path.write_bytes(b"\xff" + path.read_bytes())
+        stage = "image-ae" if name.endswith("images.tsv") else "text-ae"
+        assert main(["train", "--stage", stage, "--config", cfg]) == 3
+
+    def test_non_utf8_caption_input_and_vocabulary_exit_3(self, workdir):
+        ws, cfg = workdir
+        train_stages(cfg, ("image-ae", "text-ae", "mapper-t2i"))
+        caption = ws / "cap.txt"
+        caption.write_bytes(b"a red \xff circle\n")
+        translate = ["translate", "--direction", "text-to-image", "--input", str(caption),
+                     "--config", cfg]
+        assert main(translate) == 3
+        caption.write_text("a red circle\n")
+        assert main(translate) == 0
+        vocab = ws / "checkpoints" / "vocab.txt"
+        vocab.write_bytes(vocab.read_bytes() + b"\xfe\n")
+        assert main(translate) == 3
+
+    def test_caption_over_text_max_len_exits_3(self, workdir):
+        ws, cfg = workdir
+        train_stages(cfg, ("image-ae", "text-ae", "mapper-i2t", "mapper-t2i"))
+        short = ws / "short.cfg"
+        short.write_text(TINY + "text_ae.max_len = 3\n")  # every caption is longer
+        for command in (["train", "--stage", "text-ae"], ["train", "--stage", "mapper-i2t"],
+                        ["evaluate", "--split", "test"]):
+            assert main(command + ["--config", str(short)]) == 3, command
 
     def test_missing_dataset_exits_4(self, workdir):
         ws, cfg = workdir

@@ -182,3 +182,10 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="overruns"):
             load_checkpoint(path)
 
+    def test_non_utf8_name_rejected(self, tmp_path):
+        # valid CRC, but the tensor name is not UTF-8
+        path = tmp_path / "m.ckpt"
+        body = b"CKPT" + struct.pack("<IIIsII", 1, 1, 1, b"\xff", 1, 1) + np.ones(1).tobytes()
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="malformed"):
+            load_checkpoint(path)

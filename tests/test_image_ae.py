@@ -317,10 +317,10 @@ class TestTrainingSmoke:
         model = small_model(33)
         img = np.random.default_rng(34).uniform(-1, 1, size=(3, 32, 32))
         psi = encode_image(model, img)
-        out = generate_images(model, psi, None)
+        out = generate_images(model, psi, np.random.default_rng(35))
         save_module(model, tmp_path / "m.ckpt")
         clone = small_model(99)  # different init
         load_into(clone, tmp_path / "m.ckpt")
         np.testing.assert_array_equal(encode_image(clone, img), psi)
-        for u, v in zip(generate_images(clone, psi, None), out):
+        for u, v in zip(generate_images(clone, psi, np.random.default_rng(35)), out):
             np.testing.assert_array_equal(u, v)

@@ -205,7 +205,7 @@ class TestTwoSampleTest:
     def test_too_small_batch_rejected(self):
         with pytest.raises(ShapeError):
             two_sample_test(np.ones((1, 2)), np.ones((5, 2)), KernelSpec((1.0,)),
-                            rng=np.random.default_rng(0))
+                            permutations=10, rng=np.random.default_rng(0))
 
     @pytest.mark.slow
     def test_calibration_under_null(self):
