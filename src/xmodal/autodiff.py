@@ -556,51 +556,38 @@ def avgpool2x(x: Tensor) -> Tensor:
 
 
 def reduce(op_tag: str, x: Tensor, axis: Optional[int] = None) -> Tensor:
-    """sum / mean / max reduction, over everything or a single axis.
+    """sum or mean over every element, or max over one axis.
 
     max records its argmax indices so the gradient routes to the first
     (lowest-index) maximum only.
     """
     if op_tag not in ("sum", "mean", "max"):
         raise ValueError(f"unknown reduce op {op_tag!r}")
-    if axis is not None:
-        axis = int(axis)
-        if not (0 <= axis < x.data.ndim):
-            raise ShapeError(f"reduce axis {axis} invalid for shape {x.shape}")
+    if (op_tag == "max") != (axis is not None):
+        raise ShapeError(f"reduce {op_tag!r} takes {'one axis' if op_tag == 'max' else 'no axis'}, "
+                         f"got axis={axis}")
 
     if op_tag in ("sum", "mean"):
-        out_data = x.data.sum(axis=axis) if op_tag == "sum" else x.data.mean(axis=axis)
-        factor = 1.0 if op_tag == "sum" else (1.0 / (x.size if axis is None else x.shape[axis]))
+        factor = 1.0 if op_tag == "sum" else 1.0 / x.size
 
         def backward_fn():
-            g = out.grad
-            if axis is None:
-                x._accumulate(np.full_like(x.data, float(g) * factor))
-            else:
-                x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape) * factor)
+            x._accumulate(np.full_like(x.data, float(out.grad) * factor))
 
-        out = _make_node(np.asarray(out_data), (x,), backward_fn)
+        out = _make_node(np.asarray(x.data.sum() if op_tag == "sum" else x.data.mean()), (x,),
+                         backward_fn)
         return out
 
-    # max
-    if axis is None:
-        flat_idx = int(np.argmax(x.data))
+    axis = int(axis)
+    if not (0 <= axis < x.data.ndim):
+        raise ShapeError(f"reduce axis {axis} invalid for shape {x.shape}")
+    arg = np.argmax(x.data, axis=axis)
 
-        def backward_fn():
-            g = np.zeros_like(x.data)
-            g.reshape(-1)[flat_idx] = float(out.grad)
-            x._accumulate(g)
+    def backward_fn():
+        g = np.zeros_like(x.data)
+        np.put_along_axis(g, np.expand_dims(arg, axis), np.expand_dims(out.grad, axis), axis=axis)
+        x._accumulate(g)
 
-        out = _make_node(np.asarray(x.data.max()), (x,), backward_fn)
-    else:
-        arg = np.argmax(x.data, axis=axis)
-
-        def backward_fn():
-            g = np.zeros_like(x.data)
-            np.put_along_axis(g, np.expand_dims(arg, axis), np.expand_dims(out.grad, axis), axis=axis)
-            x._accumulate(g)
-
-        out = _make_node(x.data.max(axis=axis), (x,), backward_fn)
+    out = _make_node(x.data.max(axis=axis), (x,), backward_fn)
     return out
 
 

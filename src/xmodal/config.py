@@ -25,18 +25,19 @@ DEFAULTS: dict[str, tuple] = {
     "data.dir": ("dataset", str, "dataset directory name inside the working directory"),
     "data.colors": ("red,green,blue,yellow", str, "comma-separated color names"),
     "data.shapes": ("circle,square,triangle,cross", str, "comma-separated shape names"),
-    "data.image_size": (32, int, "square image resolution; must equal the top branch resolution"),
+    "data.image_size": (32, int, "square image resolution; must equal the top branch "
+                                 "resolution, a multiple of 16"),
     "data.samples_per_class": (24, int, "generated samples per class"),
     "data.jitter_pos": (3.0, float, "position jitter in pixels, at most data.image_size / 2"),
     "data.jitter_scale": (0.15, float, "relative scale jitter, in [0, 1)"),
 
-    "image_ae.branches": (3, int, "generator branches; resolution doubles per branch"),
-    "image_ae.base_res": (8, int, "resolution of the first branch"),
+    "image_ae.branches": (3, int, "generator branches, at least 1; resolution doubles per branch"),
+    "image_ae.base_res": (8, int, "resolution of the first branch, positive"),
     "image_ae.d_img": (64, int, "image embedding dimension"),
     "image_ae.d_c": (16, int, "conditioning variable dimension"),
-    "image_ae.d_z": (16, int, "auxiliary noise dimension"),
+    "image_ae.d_z": (16, int, "auxiliary noise dimension, at least 0"),
     "image_ae.gen_channels": (32, int, "generator feature channels at the first branch"),
-    "image_ae.disc_channels": (16, int, "discriminator base channels"),
+    "image_ae.disc_channels": (16, int, "discriminator base channels, positive"),
     "image_ae.batch": (16, int, "training batch size"),
     "image_ae.epochs": (60, int, "training passes over the dataset"),
     "image_ae.lr": (2e-4, float, "optimizer step size"),
@@ -101,18 +102,21 @@ def resolve_config(path=None) -> dict:
 
 
 def _validate(cfg: dict):
-    top = cfg["image_ae.base_res"] * 2 ** (cfg["image_ae.branches"] - 1)
-    if top != cfg["data.image_size"]:
-        raise ConfigError(f"data.image_size={cfg['data.image_size']} must equal the top branch "
-                          f"resolution {top} (base_res * 2^(branches-1))")
     if cfg["mapper.kind"] not in ("gan", "mmd"):
         raise ConfigError(f"mapper.kind must be 'gan' or 'mmd', got {cfg['mapper.kind']!r}")
     for key in ("data.samples_per_class", "image_ae.batch", "text_ae.batch", "mapper.steps",
                 "eval.permutations", "image_ae.lr", "text_ae.lr", "mapper.lr", "mapper.clip",
+                "image_ae.branches", "image_ae.base_res", "image_ae.disc_channels",
                 "image_ae.d_img", "image_ae.d_c", "text_ae.hidden", "text_ae.embed_dim",
                 "text_ae.max_len", "mapper.hidden", "mapper.critic_hidden", "mapper.critic_dim"):
         if not cfg[key] > 0:  # also rejects NaN
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
+    top = cfg["image_ae.base_res"] * 2 ** (cfg["image_ae.branches"] - 1)
+    if top % 16 or top != cfg["data.image_size"]:
+        raise ConfigError(f"data.image_size={cfg['data.image_size']} must equal the top branch "
+                          f"resolution {top} (base_res * 2^(branches-1)), a multiple of 16")
+    if cfg["image_ae.d_z"] < 0:
+        raise ConfigError(f"image_ae.d_z must be at least 0, got {cfg['image_ae.d_z']}")
     if cfg["mapper.batch"] < 2:
         raise ConfigError(f"mapper.batch must be at least 2, got {cfg['mapper.batch']}")
     pos, scale = cfg["data.jitter_pos"], cfg["data.jitter_scale"]

@@ -190,22 +190,24 @@ def read_embeddings(path) -> LabeledEmbeddingSet:
 # -- caption corpus -------------------------------------------------------
 
 
-def load_caption_corpus(path) -> list[tuple[int, list[str]]]:
-    """Parse class_id<TAB>caption lines into (class_id, tokens) records."""
-    records = []
-    text = read_utf8(path)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _class_rows(path):
+    """(class_id, rest) of each non-empty class_id<TAB>rest line of a UTF-8 file."""
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line:
             continue
         if "\t" not in line:
             raise FormatError(f"{path}: line {lineno}: missing tab separator")
-        class_field, caption = line.split("\t", 1)
+        class_field, rest = line.split("\t", 1)
         try:
             class_id = int(class_field)
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: non-integer class id {class_field!r}") from None
-        records.append((class_id, tokenize(caption)))
-    return records
+        yield class_id, rest
+
+
+def load_caption_corpus(path) -> list[tuple[int, list[str]]]:
+    """Parse class_id<TAB>caption lines into (class_id, tokens) records."""
+    return [(class_id, tokenize(caption)) for class_id, caption in _class_rows(path)]
 
 
 # -- shape rasterization ---------------------------------------------------
@@ -321,14 +323,9 @@ def load_image_split(dataset_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
     if not index.is_file():
         raise FormatError(f"missing image index: {index}")
     images, labels = [], []
-    for lineno, line in enumerate(read_utf8(index).splitlines(), start=1):
-        if not line:
-            continue
-        if "\t" not in line:
-            raise FormatError(f"{index}: line {lineno}: missing tab separator")
-        class_field, fname = line.split("\t", 1)
+    for class_id, fname in _class_rows(index):
         images.append(read_ppm(root / "images" / fname))
-        labels.append(int(class_field))
+        labels.append(class_id)
     if not images:
         raise FormatError(f"{index}: empty split")
     return np.stack(images), np.asarray(labels, dtype=np.int64)

@@ -259,14 +259,6 @@ class ImageAutoencoder(Module):
         self.encoder = self._child("encoder", ImageEncoder(cfg, rng))
         self.augment = self._child("augment", CondAugment(cfg, rng))
         self.generator = self._child("generator", GeneratorStack(cfg, rng))
-        self.discriminators = [
-            self._child(f"disc{i}", BranchDiscriminator(cfg, r, rng))
-            for i, r in enumerate(cfg.resolutions)
-        ]
-
-    def generator_side_parameters(self) -> list[Tensor]:
-        return (self.encoder.parameters() + self.augment.parameters()
-                + self.generator.parameters())
 
 
 def encode_image(model: ImageAutoencoder, image: np.ndarray) -> np.ndarray:
@@ -309,9 +301,9 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
                             rng: np.random.Generator, log=None) -> None:
     """Alternating per-branch discriminator updates and one generator-side update.
 
-    `images` is (N, 3, top_res, top_res) in [-1, 1]. Per-step metric rows go
-    to `log`; raises DivergenceError (with .last_good parameter snapshot) when
-    a loss or the conditioning moments turn non-finite.
+    The discriminators are built from `rng` here and never leave this call.
+    `images` is (N, 3, top_res, top_res) in [-1, 1]; metric rows go to `log`.
+    A non-finite loss or conditioning moment raises DivergenceError (last_good set).
     """
     cfg = model.cfg
     n_total = images.shape[0]
@@ -320,9 +312,9 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
                          f"got {images.shape}")
     reals_by_branch = [downsample_to(images, r) for r in cfg.resolutions]
 
-    gen_opt = Adam(model.generator_side_parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
-    disc_opts = [Adam(d.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
-                 for d in model.discriminators]
+    discs = [BranchDiscriminator(cfg, r, rng) for r in cfg.resolutions]
+    gen_opt = Adam(model.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
+    disc_opts = [Adam(d.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2)) for d in discs]
 
     run = TrainingRun(model.named_parameters(), log)
     try:
@@ -338,18 +330,18 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
                     c_hat, _ = model.augment(psi, rng)
                     z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))
                     fakes = model.generator(c_hat, z)
-                for i, (disc, opt) in enumerate(zip(model.discriminators, disc_opts)):
+                for i, (disc, opt) in enumerate(zip(discs, disc_opts)):
                     real_i = Tensor(reals_by_branch[i][idx])
                     d_loss = discriminator_loss(disc, real_i, fakes[i], c_hat)
                     run.emit(f"d_loss_{i}",
                              run.minimize(opt, d_loss, f"image autoencoder discriminator {i} loss"))
 
-                # generator phase: fresh forward, discriminators frozen
+                # generator phase: fresh forward, every discriminator frozen
                 psi = model.encoder(x)
                 c_hat, kl = model.augment(psi, rng)
                 z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))
                 fakes = model.generator(c_hat, z)
-                g_adv = generator_adversarial_loss(model.discriminators, fakes, c_hat)
+                g_adv = generator_adversarial_loss(discs, fakes, c_hat)
                 rec = l1_reconstruction(fakes[-1], x)
                 total = ad.add(g_adv, ad.add(ad.scale(kl, cfg.lambda_kl),
                                              ad.scale(rec, cfg.lambda_rec)))

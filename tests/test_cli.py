@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xmodal.checkpoint import load_checkpoint, load_into
-from xmodal.cli import main
+from xmodal.checkpoint import load_checkpoint, load_into, save_checkpoint
+from xmodal.cli import TRAIN_STAGES, main
 from xmodal.config import resolve_config, section
 from xmodal.data import load_caption_split, write_ppm
 from xmodal.image_ae import ImageAEConfig, ImageAutoencoder
@@ -41,7 +41,7 @@ def train_stages(cfg: str, stages) -> None:
 
 def tree_bytes(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
-            if p.is_file() and p.suffix != ".cfg"}
+            if p.is_file() and p.suffix != ".cfg" and p.name != ".lock"}
 
 
 class TestExitCodes:
@@ -57,6 +57,10 @@ class TestExitCodes:
         "image_ae.d_img = 0", "image_ae.d_c = 0", "mapper.hidden = 0", "mapper.critic_dim = 0",
         "mapper.batch = 1", "data.jitter_pos = -1", "data.jitter_pos = 17",
         "data.jitter_scale = -0.9", "data.jitter_scale = -5", "data.jitter_scale = 1",
+        "image_ae.disc_channels = 0", "image_ae.d_z = -1",
+        pytest.param("data.image_size = 8\nimage_ae.branches = 1", id="top-res-8"),
+        pytest.param("image_ae.base_res = 6\ndata.image_size = 24", id="top-res-24"),
+        pytest.param("image_ae.branches = 0\nimage_ae.base_res = 64", id="no-branches"),
         pytest.param("data.colors = red,green\ndata.shapes = circle,square", id="no-test-class"),
         pytest.param("mapper.kind = gan\udcff", id="not-utf8"),  # a lone 0xff byte
     ])
@@ -98,6 +102,13 @@ class TestExitCodes:
         for command in (["train", "--stage", "text-ae"], ["train", "--stage", "mapper-i2t"],
                         ["evaluate", "--split", "test"]):
             assert main(command + ["--config", str(short)]) == 3, command
+
+    def test_non_integer_image_class_id_exits_3(self, workdir):
+        ws, cfg = workdir
+        assert main(["datagen", "--config", cfg]) == 0
+        index = ws / "dataset" / "train" / "images.tsv"
+        index.write_text("x\t" + index.read_text().split("\t", 1)[1])
+        assert main(["train", "--stage", "image-ae", "--config", cfg]) == 3
 
     def test_missing_dataset_exits_4(self, workdir):
         ws, cfg = workdir
@@ -147,6 +158,38 @@ class TestExitCodes:
         (ws / ".lock").touch()  # left behind by a killed run
         assert main(["datagen", "--config", cfg]) == 0
         assert main(["datagen", "--config", cfg]) == 0
+
+
+def _drop_vocabulary(checkpoints: Path):
+    (checkpoints / "vocab.txt").unlink()
+
+
+def _add_discriminator_tensor(checkpoints: Path):
+    # the layout written while the image autoencoder still held its discriminators
+    path = checkpoints / "image_ae.ckpt"
+    save_checkpoint(path, [*load_checkpoint(path).items(), ("disc0.uncond.bias", np.zeros(1))])
+
+
+# case -> (fault put into a workdir holding both autoencoders, command, exit code)
+AFTER_AUTOENCODERS = {
+    "mapper-without-vocabulary": (_drop_vocabulary, ["train", "--stage", "mapper-t2i"], 4),
+    "translate-without-mapper": (None, ["translate", "--direction", "text-to-image",
+                                        "--input", "{ws}/cap.txt"], 4),
+    "evaluate-without-mappers": (None, ["evaluate", "--split", "test"], 4),
+    "image-ae-with-discriminator": (_add_discriminator_tensor,
+                                    ["train", "--stage", "mapper-i2t"], 3),
+}
+
+
+@pytest.mark.parametrize("case", AFTER_AUTOENCODERS)
+def test_fault_after_autoencoders_exit_code(workdir, case):
+    ws, cfg = workdir
+    fault, command, code = AFTER_AUTOENCODERS[case]
+    train_stages(cfg, ("image-ae", "text-ae"))
+    (ws / "cap.txt").write_text("a red circle\n")
+    if fault is not None:
+        fault(ws / "checkpoints")
+    assert main([arg.format(ws=ws) for arg in command] + ["--config", cfg]) == code
 
 
 # case -> (stage, config lines that make it diverge)
@@ -211,6 +254,27 @@ class TestDatagen:
 
 @pytest.mark.slow
 class TestPipeline:
+    def test_two_runs_write_identical_trees(self, tmp_path, monkeypatch):
+        # datagen, the four stages, both translates and evaluate on both splits, twice
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY)
+        trees = []
+        for root in (tmp_path / "first", tmp_path / "second"):
+            monkeypatch.setenv("XMODAL_WORKDIR", str(root))
+            train_stages(str(cfg), TRAIN_STAGES)
+            (root / "cap.txt").write_text("a red circle\n")
+            image = sorted((root / "dataset" / "test" / "images").iterdir())[0]
+            for direction, source in (("text-to-image", root / "cap.txt"),
+                                      ("image-to-text", image)):
+                assert main(["translate", "--direction", direction, "--input", str(source),
+                             "--config", str(cfg)]) == 0
+            for split in ("test", "train"):
+                assert main(["evaluate", "--split", split, "--config", str(cfg)]) == 0
+            trees.append(tree_bytes(root))
+        assert trees[0] == trees[1]
+        assert Path("checkpoints/mapper_t2i.ckpt") in trees[0]
+        assert Path("reports/eval_train.csv") in trees[0]
+
     def test_tiny_pipeline_and_contracts(self, workdir):
         ws, cfg = workdir
         assert main(["datagen", "--config", cfg]) == 0

@@ -18,6 +18,10 @@ def small_model(seed=0, cfg=SMALL):
     return ImageAutoencoder(cfg, np.random.default_rng(seed))
 
 
+def branch_discriminators(rng, cfg=SMALL):
+    return [BranchDiscriminator(cfg, r, rng) for r in cfg.resolutions]
+
+
 def zero_heads(disc: BranchDiscriminator):
     disc.uncond.weight.data[...] = 0.0
     disc.uncond.bias.data[...] = 0.0
@@ -87,6 +91,12 @@ class TestCondAugment:
         aug.proj.weight.data[...] = np.nan
         with pytest.raises(DivergenceError):
             aug(Tensor(np.ones((1, cfg.d_img))), np.random.default_rng(0))
+
+
+def test_model_holds_only_what_inference_runs():
+    # the discriminators belong to train_image_autoencoder, not to the checkpoint
+    names = [name for name, _ in small_model(0).named_parameters()]
+    assert {name.split(".")[0] for name in names} == {"encoder", "augment", "generator"}
 
 
 class TestEncoder:
@@ -188,8 +198,7 @@ class _StubDisc:
 class TestLosses:
     def test_discriminator_loss_at_half(self):
         # zeroed head layers output exactly 0.5 for any input
-        model = small_model(17)
-        disc = model.discriminators[0]
+        disc = BranchDiscriminator(SMALL, 8, np.random.default_rng(17))
         zero_heads(disc)
         rng = np.random.default_rng(18)
         real = Tensor(rng.uniform(-1, 1, size=(4, 3, 8, 8)))
@@ -206,8 +215,7 @@ class TestLosses:
         assert loss.item() == pytest.approx(0.0, abs=1e-6)
 
     def test_discriminator_loss_vs_scalar_oracle(self):
-        model = small_model(19)
-        disc = model.discriminators[1]
+        disc = BranchDiscriminator(SMALL, 16, np.random.default_rng(19))
         rng = np.random.default_rng(20)
         real = Tensor(rng.uniform(-1, 1, size=(3, 3, 16, 16)))
         fake = Tensor(rng.uniform(-1, 1, size=(3, 3, 16, 16)))
@@ -221,8 +229,7 @@ class TestLosses:
         assert loss == pytest.approx(want, abs=1e-12)
 
     def test_generator_loss_at_half_single_branch(self):
-        model = small_model(21)
-        disc = model.discriminators[0]
+        disc = BranchDiscriminator(SMALL, 8, np.random.default_rng(21))
         zero_heads(disc)
         rng = np.random.default_rng(22)
         fake = Tensor(rng.uniform(-1, 1, size=(4, 3, 8, 8)))
@@ -231,30 +238,31 @@ class TestLosses:
         assert loss.item() == pytest.approx(2.0 * np.log(2.0), abs=1e-9)
 
     def test_generator_loss_sums_over_three_branches(self):
-        model = small_model(23)
+        discs = branch_discriminators(np.random.default_rng(23))
         rng = np.random.default_rng(24)
-        for disc in model.discriminators:
+        for disc in discs:
             zero_heads(disc)
         fakes = [Tensor(rng.uniform(-1, 1, size=(4, 3, r, r))) for r in (8, 16, 32)]
         c = Tensor(rng.normal(size=(4, SMALL.d_c)))
-        loss = generator_adversarial_loss(model.discriminators, fakes, c)
+        loss = generator_adversarial_loss(discs, fakes, c)
         assert loss.item() == pytest.approx(6.0 * np.log(2.0), abs=1e-9)
 
     def test_branch_additivity(self):
         # Eq.-style additivity: the stacked loss equals the sum of per-branch losses
-        model = small_model(25)
+        discs = branch_discriminators(np.random.default_rng(25))
         rng = np.random.default_rng(26)
         fakes = [Tensor(rng.uniform(-1, 1, size=(4, 3, r, r))) for r in (8, 16, 32)]
         c = Tensor(rng.normal(size=(4, SMALL.d_c)))
-        total = generator_adversarial_loss(model.discriminators, fakes, c).item()
-        parts = sum(generator_adversarial_loss([d], [f], c).item()
-                    for d, f in zip(model.discriminators, fakes))
+        total = generator_adversarial_loss(discs, fakes, c).item()
+        parts = sum(generator_adversarial_loss([d], [f], c).item() for d, f in zip(discs, fakes))
         assert total == pytest.approx(parts, abs=1e-12)
 
     def test_generator_gradient_vs_finite_differences(self):
         cfg = ImageAEConfig(branches=2, base_res=8, d_img=8, d_c=4, d_z=4,
                             gen_channels=8, disc_channels=8)
-        model = ImageAutoencoder(cfg, np.random.default_rng(27))
+        init = np.random.default_rng(27)
+        model = ImageAutoencoder(cfg, init)
+        discs = branch_discriminators(init, cfg)
         rng = np.random.default_rng(28)
         x = Tensor(rng.uniform(-1, 1, size=(2, 3, 16, 16)))
         c = Tensor(rng.normal(size=(2, cfg.d_c)))
@@ -266,7 +274,7 @@ class TestLosses:
             join.kernels = v
             try:
                 fakes = model.generator(c, z)
-                adv = generator_adversarial_loss(model.discriminators, fakes, c)
+                adv = generator_adversarial_loss(discs, fakes, c)
                 rec = l1_reconstruction(fakes[-1], x)
                 return ad.add(adv, rec)
             finally:
