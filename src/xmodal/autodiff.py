@@ -264,8 +264,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward_fn():
-        a._accumulate(out.grad @ b.data.T)
-        b._accumulate(a.data.T @ out.grad)
+        if a.requires_grad:
+            a._accumulate(out.grad @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ out.grad)
 
     out = _make_node(out_data, (a, b), backward_fn)
     return out
@@ -349,7 +351,8 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
     def backward_fn():
         x._accumulate(out.grad)
-        v._accumulate(out.grad.sum(axis=0))
+        if v.requires_grad:
+            v._accumulate(out.grad.sum(axis=0))
 
     out = _make_node(x.data + v.data[None, :], (x, v), backward_fn)
     return out
@@ -362,7 +365,8 @@ def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn():
         x._accumulate(out.grad)
-        b._accumulate(out.grad.sum(axis=(0, 2, 3)))
+        if b.requires_grad:
+            b._accumulate(out.grad.sum(axis=(0, 2, 3)))
 
     out = _make_node(x.data + b.data[None, :, None, None], (x, b), backward_fn)
     return out
@@ -512,13 +516,15 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     def backward_fn():
         g = out.grad[None] if single else out.grad
         g_flat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, c_out)
-        dw = (cols.T @ g_flat).reshape(kh, kw, c_in, c_out)
-        kernels._accumulate(np.ascontiguousarray(dw.transpose(3, 2, 0, 1)))
-        dcols = g_flat @ wmat.T                                # (N*P, kh*kw*C)
-        dxp = _col2im(dcols, xp.shape, kh, kw, stride, ho, wo)
-        if padding:
-            dxp = dxp[:, :, padding:-padding, padding:-padding]
-        x._accumulate(dxp[0] if single else dxp)
+        if kernels.requires_grad:
+            dw = (cols.T @ g_flat).reshape(kh, kw, c_in, c_out)
+            kernels._accumulate(np.ascontiguousarray(dw.transpose(3, 2, 0, 1)))
+        if x.requires_grad:
+            dcols = g_flat @ wmat.T                            # (N*P, kh*kw*C)
+            dxp = _col2im(dcols, xp.shape, kh, kw, stride, ho, wo)
+            if padding:
+                dxp = dxp[:, :, padding:-padding, padding:-padding]
+            x._accumulate(dxp[0] if single else dxp)
 
     out = _make_node(out_data, (x, kernels), backward_fn)
     return out

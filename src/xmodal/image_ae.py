@@ -297,6 +297,11 @@ def downsample_to(images: np.ndarray, resolution: int) -> np.ndarray:
     return out
 
 
+def _set_requires_grad(params: list[Tensor], flag: bool) -> None:
+    for p in params:
+        p.requires_grad = flag
+
+
 def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
                             rng: np.random.Generator, log=None) -> None:
     """Alternating per-branch discriminator updates and one generator-side update.
@@ -315,6 +320,7 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
     discs = [BranchDiscriminator(cfg, r, rng) for r in cfg.resolutions]
     gen_opt = Adam(model.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
     disc_opts = [Adam(d.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2)) for d in discs]
+    disc_params = [p for opt in disc_opts for p in opt.params]
 
     run = TrainingRun(model.named_parameters(), log)
     try:
@@ -325,6 +331,7 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
                 x = Tensor(images[idx])
 
                 # discriminator phase: fakes and conditioning detached
+                _set_requires_grad(disc_params, True)
                 with ad.no_grad():
                     psi = model.encoder(x)
                     c_hat, _ = model.augment(psi, rng)
@@ -336,7 +343,9 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
                     run.emit(f"d_loss_{i}",
                              run.minimize(opt, d_loss, f"image autoencoder discriminator {i} loss"))
 
-                # generator phase: fresh forward, every discriminator frozen
+                # generator phase: fresh forward, every discriminator frozen, so
+                # backward computes no discriminator gradient
+                _set_requires_grad(disc_params, False)
                 psi = model.encoder(x)
                 c_hat, kl = model.augment(psi, rng)
                 z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))

@@ -87,6 +87,17 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             ad.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
 
+    def test_operand_without_grad_gets_none(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        for a_grad in (True, False):
+            ta, tb = t(a, grad=a_grad), t(b, grad=not a_grad)
+            backward(ad.reduce("sum", ad.matmul(ta, tb)))
+            frozen, trained = (tb, ta) if a_grad else (ta, tb)
+            assert frozen.grad is None
+            want = np.ones((3, 2)) @ b.T if a_grad else a.T @ np.ones((3, 2))
+            np.testing.assert_array_equal(trained.grad, want)
+
 
 def conv_loop_oracle(x, w, stride=1, padding=0):
     if padding:
@@ -100,6 +111,22 @@ def conv_loop_oracle(x, w, stride=1, padding=0):
             for j in range(wo):
                 out[c, i, j] = np.sum(x[:, i * stride:i * stride + kh, j * stride:j * stride + kw] * w[c])
     return out
+
+
+def conv_grad_loop_oracle(x, w, g, stride=1, padding=0):
+    """d/dw and d/dx of sum(conv(x, w) * g) for one (C, H, W) sample, by direct loops."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    _, _, kh, kw = w.shape
+    co, ho, wo = g.shape
+    for c in range(co):
+        for i in range(ho):
+            for j in range(wo):
+                rows, cols = slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw)
+                dw[c] += g[c, i, j] * xp[:, rows, cols]
+                dxp[:, rows, cols] += g[c, i, j] * w[c]
+    return dw, dxp[:, padding:xp.shape[1] - padding, padding:xp.shape[2] - padding]
 
 
 class TestConv2d:
@@ -122,6 +149,48 @@ class TestConv2d:
             pytest.skip("shape not representable")
         got = ad.conv2d(t(x), t(k), stride, padding).data
         np.testing.assert_allclose(got, conv_loop_oracle(x, k, stride, padding), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("batch", [None, 1, 3], ids=["chw", "n1", "n3"])
+    @pytest.mark.parametrize("kernel", [1, 3, 4])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_and_gradients_vs_loop_oracle(self, stride, padding, kernel, batch):
+        rng = np.random.default_rng(40)
+        c_in, c_out = 2, 3
+        h = next(s for s in range(5, 5 + stride) if (s + 2 * padding - kernel) % stride == 0)
+        w = h + stride  # a non-square input keeps the two spatial axes apart
+        x = t(rng.normal(size=(c_in, h, w) if batch is None else (batch, c_in, h, w)), grad=True)
+        k = t(rng.normal(size=(c_out, c_in, kernel, kernel)), grad=True)
+        out = ad.conv2d(x, k, stride, padding)
+        g = rng.normal(size=out.shape)
+        backward(ad.reduce("sum", ad.mul(out, Tensor(g))))
+
+        samples = [(x.data, g)] if batch is None else list(zip(x.data, g))
+        want_out = [conv_loop_oracle(xi, k.data, stride, padding) for xi, _ in samples]
+        grads = [conv_grad_loop_oracle(xi, k.data, gi, stride, padding) for xi, gi in samples]
+        want_dx = [dx for _, dx in grads]
+        if batch is None:
+            want_out, want_dx = want_out[0], want_dx[0]
+        np.testing.assert_allclose(out.data, want_out, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(k.grad, sum(dw for dw, _ in grads), atol=1e-12, rtol=0)
+        np.testing.assert_allclose(x.grad, want_dx, atol=1e-12, rtol=0)
+
+    def test_operand_without_grad_gets_none_and_no_input_gradient(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        x_data, k_data = rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3))
+
+        def col2im_must_not_run(*args):
+            raise AssertionError("_col2im ran for an input that needs no gradient")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_col2im", col2im_must_not_run)
+            x, k = t(x_data), t(k_data, grad=True)
+            backward(ad.reduce("sum", ad.conv2d(x, k, 1, 1)))
+            assert x.grad is None and k.grad is not None
+
+        x, k = t(x_data, grad=True), t(k_data)
+        backward(ad.reduce("sum", ad.conv2d(x, k, 1, 1)))
+        assert k.grad is None and x.grad is not None
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(5)

@@ -299,6 +299,38 @@ class TestDownsample:
         assert downsample_to(imgs, 8) is imgs
 
 
+def test_generator_phase_leaves_discriminators_frozen(monkeypatch):
+    # one epoch at the CLI tests' TINY sizes: 24 images, batch 4, default architecture
+    from xmodal import image_ae
+    opts = []
+
+    class RecordingAdam(image_ae.Adam):
+        def __init__(self, params, **kw):
+            super().__init__(params, **kw)
+            opts.append(self)
+            self.grads_after_step, self.steps_changing_every_param = None, 0
+
+        def step(self):
+            if self is opts[0]:  # the generator side is built first
+                for d in opts[1:]:
+                    for p, g in zip(d.params, d.grads_after_step):
+                        np.testing.assert_array_equal(p.grad, g)
+            before = [p.data.copy() for p in self.params]
+            super().step()
+            self.grads_after_step = [p.grad.copy() for p in self.params]
+            if all(not np.array_equal(b, p.data) for b, p in zip(before, self.params)):
+                self.steps_changing_every_param += 1
+
+    monkeypatch.setattr(image_ae, "Adam", RecordingAdam)
+    cfg = ImageAEConfig(batch=4, epochs=1)
+    images = np.random.default_rng(36).uniform(-1, 1, size=(24, 3, 32, 32))
+    model = ImageAutoencoder(cfg, np.random.default_rng(37))
+    train_image_autoencoder(model, images, np.random.default_rng(38))
+    assert len(opts) == 1 + cfg.branches
+    assert [d.t for d in opts] == [6] * len(opts)
+    assert [d.steps_changing_every_param for d in opts[1:]] == [6] * cfg.branches
+
+
 @pytest.mark.slow
 class TestTrainingSmoke:
     def test_200_steps_on_64_images(self):
