@@ -467,24 +467,23 @@ def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    # (N, C, Hp, Wp) -> (N*ho*wo, kh*kw*C); channels innermost keeps the
-    # backward scatter contiguous
+    # (N, C, Hp, Wp) -> (N, C*kh*kw, ho*wo): the K axis in the kernels' own
+    # (C, kh, kw) order, so that kernels reshape to (C_out, K) without a copy
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]  # (N, C, ho, wo, kh, kw)
     n, c = xp.shape[:2]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 4, 5, 1))
-    return cols.reshape(n * ho * wo, kh * kw * c)
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+    return cols.reshape(n, c * kh * kw, ho * wo)
 
 
 def _col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c = xp_shape[:2]
-    _, _, hp, wp = xp_shape
-    acc = np.zeros((n, hp, wp, c), dtype=np.float64)
-    cols = cols.reshape(n, ho, wo, kh, kw, c)
+    n, c, hp, wp = xp_shape
+    acc = np.zeros(xp_shape, dtype=np.float64)
+    cols = cols.reshape(n, c, kh, kw, ho, wo)
     for di in range(kh):
         for dj in range(kw):
-            acc[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride] += cols[:, :, :, di, dj]
-    return np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+            acc[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride] += cols[:, :, di, dj]
+    return acc
 
 
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -503,25 +502,23 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     wo = _conv_out_size(w, kw, stride, padding)
 
     if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding:-padding, padding:-padding] = xd
     else:
         xp = xd
-    cols = _im2col(xp, kh, kw, stride, ho, wo)                 # (N*P, kh*kw*C)
-    wmat = kernels.data.transpose(2, 3, 1, 0).reshape(kh * kw * c_in, c_out)
-    out_flat = cols @ wmat                                     # (N*P, C_out)
-    out_data = np.ascontiguousarray(out_flat.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2))
+    cols = _im2col(xp, kh, kw, stride, ho, wo)                 # (N, C*kh*kw, P)
+    wmat = kernels.data.reshape(c_out, c_in * kh * kw)
+    out_data = (wmat @ cols).reshape(n, c_out, ho, wo)         # (C_out, K) @ (N, K, P)
     if single:
         out_data = out_data[0]
 
     def backward_fn():
-        g = out.grad[None] if single else out.grad
-        g_flat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, c_out)
+        g = out.grad.reshape(n, c_out, ho * wo)
         if kernels.requires_grad:
-            dw = (cols.T @ g_flat).reshape(kh, kw, c_in, c_out)
-            kernels._accumulate(np.ascontiguousarray(dw.transpose(3, 2, 0, 1)))
+            dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)  # sum_n g[n] @ cols[n].T
+            kernels._accumulate(dw.reshape(kernels.shape))
         if x.requires_grad:
-            dcols = g_flat @ wmat.T                            # (N*P, kh*kw*C)
-            dxp = _col2im(dcols, xp.shape, kh, kw, stride, ho, wo)
+            dxp = _col2im(wmat.T @ g, xp.shape, kh, kw, stride, ho, wo)
             if padding:
                 dxp = dxp[:, :, padding:-padding, padding:-padding]
             x._accumulate(dxp[0] if single else dxp)
