@@ -188,6 +188,9 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
     try:
         if stage == "image-ae":
             images, _ = load_image_split(dataset, "train")
+            if cfg["image_ae.batch"] > len(images):
+                raise ConfigError(f"image_ae.batch={cfg['image_ae.batch']} exceeds the "
+                                  f"{len(images)} images of the training split")
             model = ImageAutoencoder(ImageAEConfig(**section(cfg, "image_ae")), rng)
             train_image_autoencoder(model, images, rng, log=log)
             save_module(model, ckpt_path)

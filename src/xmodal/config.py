@@ -41,8 +41,8 @@ DEFAULTS: dict[str, tuple] = {
     "image_ae.batch": (16, int, "training batch size"),
     "image_ae.epochs": (60, int, "training passes over the dataset"),
     "image_ae.lr": (2e-4, float, "optimizer step size"),
-    "image_ae.beta1": (0.5, float, "first moment decay"),
-    "image_ae.beta2": (0.999, float, "second moment decay"),
+    "image_ae.beta1": (0.5, float, "first moment decay, in [0, 1)"),
+    "image_ae.beta2": (0.999, float, "second moment decay, in [0, 1)"),
     "image_ae.lambda_kl": (1.0, float, "weight of the KL regularizer"),
     "image_ae.lambda_rec": (1.0, float, "weight of the top-branch L1 reconstruction term"),
 
@@ -115,6 +115,9 @@ def _validate(cfg: dict):
     if top % 16 or top != cfg["data.image_size"]:
         raise ConfigError(f"data.image_size={cfg['data.image_size']} must equal the top branch "
                           f"resolution {top} (base_res * 2^(branches-1)), a multiple of 16")
+    for key in ("image_ae.beta1", "image_ae.beta2"):
+        if not 0 <= cfg[key] < 1:  # also rejects NaN
+            raise ConfigError(f"{key} must lie in [0, 1), got {cfg[key]}")
     if cfg["image_ae.d_z"] < 0:
         raise ConfigError(f"image_ae.d_z must be at least 0, got {cfg['image_ae.d_z']}")
     if cfg["mapper.batch"] < 2:

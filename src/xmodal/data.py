@@ -202,6 +202,8 @@ def _class_rows(path):
             class_id = int(class_field)
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: non-integer class id {class_field!r}") from None
+        if class_id < 0:
+            raise FormatError(f"{path}: line {lineno}: negative class id {class_id}")
         yield class_id, rest
 
 

@@ -57,7 +57,8 @@ class TestExitCodes:
         "image_ae.d_img = 0", "image_ae.d_c = 0", "mapper.hidden = 0", "mapper.critic_dim = 0",
         "mapper.batch = 1", "data.jitter_pos = -1", "data.jitter_pos = 17",
         "data.jitter_scale = -0.9", "data.jitter_scale = -5", "data.jitter_scale = 1",
-        "image_ae.disc_channels = 0", "image_ae.d_z = -1",
+        "image_ae.disc_channels = 0", "image_ae.d_z = -1", "image_ae.beta1 = 1",
+        "image_ae.beta2 = 1.5",
         pytest.param("data.image_size = 8\nimage_ae.branches = 1", id="top-res-8"),
         pytest.param("image_ae.base_res = 6\ndata.image_size = 24", id="top-res-24"),
         pytest.param("image_ae.branches = 0\nimage_ae.base_res = 64", id="no-branches"),
@@ -109,6 +110,22 @@ class TestExitCodes:
         index = ws / "dataset" / "train" / "images.tsv"
         index.write_text("x\t" + index.read_text().split("\t", 1)[1])
         assert main(["train", "--stage", "image-ae", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("name,stage", [("images.tsv", "image-ae"), ("captions.tsv", "text-ae")])
+    def test_negative_class_id_exits_3(self, workdir, name, stage):
+        ws, cfg = workdir
+        assert main(["datagen", "--config", cfg]) == 0
+        index = ws / "dataset" / "train" / name
+        index.write_text("-1\t" + index.read_text().split("\t", 1)[1])
+        assert main(["train", "--stage", stage, "--config", cfg]) == 3
+
+    def test_image_batch_over_training_split_exits_2(self, workdir):
+        ws, cfg = workdir
+        assert main(["datagen", "--config", cfg]) == 0  # 24 training images
+        big = ws / "big.cfg"
+        big.write_text(TINY + "image_ae.batch = 64\n")
+        assert main(["train", "--stage", "image-ae", "--config", str(big)]) == 2
+        assert not (ws / "checkpoints" / "image_ae.ckpt").exists()
 
     def test_missing_dataset_exits_4(self, workdir):
         ws, cfg = workdir
@@ -325,3 +342,4 @@ def test_help_documents_config(capsys):
     out = capsys.readouterr().out
     assert "image_ae.lambda_kl" in out
     assert "mapper.kind" in out
+    assert "image_ae.beta1 (default 0.5): first moment decay, in [0, 1)" in out
