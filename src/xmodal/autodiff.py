@@ -477,7 +477,7 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
 
 
 def _col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c, hp, wp = xp_shape
+    n, c = xp_shape[:2]
     acc = np.zeros(xp_shape, dtype=np.float64)
     cols = cols.reshape(n, c, kh, kw, ho, wo)
     for di in range(kh):

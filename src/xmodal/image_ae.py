@@ -320,7 +320,7 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
     discs = [BranchDiscriminator(cfg, r, rng) for r in cfg.resolutions]
     gen_opt = Adam(model.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
     disc_opts = [Adam(d.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2)) for d in discs]
-    disc_params = [p for opt in disc_opts for p in opt.params]
+    disc_params = [p for d in discs for p in d.parameters()]
 
     run = TrainingRun(model.named_parameters(), log)
     try:
