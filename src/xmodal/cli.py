@@ -178,6 +178,45 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
     ckpt_path = ws.checkpoint(stage)
     ckpt_name = ckpt_path.name
     rng = stage_rng(seed, stage)
+
+    # Load and check every input first: a stage that stops here keeps the
+    # previous run's metric CSV next to the previous run's checkpoint.
+    if stage == "image-ae":
+        images, _ = load_image_split(dataset, "train")
+        if cfg["image_ae.batch"] > len(images):
+            raise ConfigError(f"image_ae.batch={cfg['image_ae.batch']} exceeds the "
+                              f"{len(images)} images of the training split")
+
+        def train(log):
+            model = ImageAutoencoder(ImageAEConfig(**section(cfg, "image_ae")), rng)
+            train_image_autoencoder(model, images, rng, log=log)
+            return model
+    elif stage == "text-ae":
+        records = _captions(ws, cfg, "train")
+        vocab = Vocabulary.from_corpus(records)
+
+        def train(log):
+            model = TextAutoencoder(len(vocab), cfg["text_ae.embed_dim"], cfg["text_ae.hidden"],
+                                    rng, max_len=cfg["text_ae.max_len"])
+            train_text_autoencoder(records, vocab, model, cfg["text_ae.epochs"],
+                                   cfg["text_ae.batch"], cfg["text_ae.lr"], rng, log=log)
+            ws.checkpoints.mkdir(parents=True, exist_ok=True)
+            vocab.save(ws.checkpoints / "vocab.txt")
+            return model
+    else:
+        img_model = load_image_model(ws, cfg)
+        txt_model, vocab = load_text_model(ws, cfg)
+        img_set, txt_set = export_embeddings(ws, cfg, "train", img_model, txt_model, vocab)
+        if stage == "mapper-i2t":
+            source, target = img_set.embeddings, txt_set.embeddings
+        else:
+            source, target = txt_set.embeddings, img_set.embeddings
+        mcfg = MapperConfig(**section(cfg, "mapper"))
+        trainer = train_gan_mapper if mcfg.kind == "gan" else train_mmd_mapper
+
+        def train(log):
+            return trainer(source, target, mcfg, rng, log=log)
+
     metrics_path = ws.metrics / (stage.replace("-", "_") + ".csv")
     metrics_path.unlink(missing_ok=True)
     report = MetricReport(metrics_path, comments=config_lines(cfg) + [f"seed={seed}"])
@@ -186,35 +225,7 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
         report.append(row["metric"], row["value"], dataset_id, ckpt_name, seed)
 
     try:
-        if stage == "image-ae":
-            images, _ = load_image_split(dataset, "train")
-            if cfg["image_ae.batch"] > len(images):
-                raise ConfigError(f"image_ae.batch={cfg['image_ae.batch']} exceeds the "
-                                  f"{len(images)} images of the training split")
-            model = ImageAutoencoder(ImageAEConfig(**section(cfg, "image_ae")), rng)
-            train_image_autoencoder(model, images, rng, log=log)
-            save_module(model, ckpt_path)
-        elif stage == "text-ae":
-            records = _captions(ws, cfg, "train")
-            vocab = Vocabulary.from_corpus(records)
-            model = TextAutoencoder(len(vocab), cfg["text_ae.embed_dim"], cfg["text_ae.hidden"],
-                                    rng, max_len=cfg["text_ae.max_len"])
-            train_text_autoencoder(records, vocab, model, cfg["text_ae.epochs"],
-                                   cfg["text_ae.batch"], cfg["text_ae.lr"], rng, log=log)
-            ws.checkpoints.mkdir(parents=True, exist_ok=True)
-            vocab.save(ws.checkpoints / "vocab.txt")
-            save_module(model, ckpt_path)
-        else:
-            img_model = load_image_model(ws, cfg)
-            txt_model, vocab = load_text_model(ws, cfg)
-            img_set, txt_set = export_embeddings(ws, cfg, "train", img_model, txt_model, vocab)
-            if stage == "mapper-i2t":
-                source, target = img_set.embeddings, txt_set.embeddings
-            else:
-                source, target = txt_set.embeddings, img_set.embeddings
-            mcfg = MapperConfig(**section(cfg, "mapper"))
-            train = train_gan_mapper if mcfg.kind == "gan" else train_mmd_mapper
-            save_module(train(source, target, mcfg, rng, log=log), ckpt_path)
+        save_module(train(log), ckpt_path)
     except DivergenceError as e:
         if e.last_good is not None:
             save_checkpoint(ckpt_path, e.last_good)

@@ -36,21 +36,22 @@ DEFAULTS: dict[str, tuple] = {
     "image_ae.d_img": (64, int, "image embedding dimension"),
     "image_ae.d_c": (16, int, "conditioning variable dimension"),
     "image_ae.d_z": (16, int, "auxiliary noise dimension, at least 0"),
-    "image_ae.gen_channels": (32, int, "generator feature channels at the first branch"),
+    "image_ae.gen_channels": (32, int, "generator feature channels at the first branch, positive"),
     "image_ae.disc_channels": (16, int, "discriminator base channels, positive"),
     "image_ae.batch": (16, int, "training batch size"),
-    "image_ae.epochs": (60, int, "training passes over the dataset"),
+    "image_ae.epochs": (60, int, "training passes over the dataset, positive"),
     "image_ae.lr": (2e-4, float, "optimizer step size"),
     "image_ae.beta1": (0.5, float, "first moment decay, in [0, 1)"),
     "image_ae.beta2": (0.999, float, "second moment decay, in [0, 1)"),
-    "image_ae.lambda_kl": (1.0, float, "weight of the KL regularizer"),
-    "image_ae.lambda_rec": (1.0, float, "weight of the top-branch L1 reconstruction term"),
+    "image_ae.lambda_kl": (1.0, float, "weight of the KL regularizer, at least 0"),
+    "image_ae.lambda_rec": (1.0, float, "weight of the top-branch L1 reconstruction term, "
+                                          "at least 0"),
 
     "text_ae.hidden": (50, int, "encoder hidden size per direction (embedding is twice this)"),
     "text_ae.embed_dim": (100, int, "token embedding dimension"),
     "text_ae.max_len": (24, int, "maximum caption length in tokens"),
     "text_ae.batch": (1, int, "training batch size"),
-    "text_ae.epochs": (30, int, "training passes over the caption corpus"),
+    "text_ae.epochs": (30, int, "training passes over the caption corpus, positive"),
     "text_ae.lr": (3e-3, float, "optimizer step size"),
 
     "mapper.kind": ("mmd", str, "mapper objective: gan or mmd"),
@@ -60,7 +61,7 @@ DEFAULTS: dict[str, tuple] = {
     "mapper.lr": (1e-4, float, "optimizer step size (generator and critic/discriminator)"),
     "mapper.n_critic": (5, int, "critic updates per generator update (mmd kind)"),
     "mapper.clip": (0.1, float, "critic weight clip bound"),
-    "mapper.lambda_ae": (1.0, float, "critic autoencoding penalty weight"),
+    "mapper.lambda_ae": (1.0, float, "critic autoencoding penalty weight, at least 0"),
     "mapper.critic_hidden": (64, int, "critic hidden width"),
     "mapper.critic_dim": (32, int, "critic feature dimension"),
     "mapper.kernel_learning": (True, _bool, "learn critic features; false = fixed kernel"),
@@ -108,7 +109,8 @@ def _validate(cfg: dict):
                 "eval.permutations", "image_ae.lr", "text_ae.lr", "mapper.lr", "mapper.clip",
                 "image_ae.branches", "image_ae.base_res", "image_ae.disc_channels",
                 "image_ae.d_img", "image_ae.d_c", "text_ae.hidden", "text_ae.embed_dim",
-                "text_ae.max_len", "mapper.hidden", "mapper.critic_hidden", "mapper.critic_dim"):
+                "text_ae.max_len", "mapper.hidden", "mapper.critic_hidden", "mapper.critic_dim",
+                "image_ae.epochs", "text_ae.epochs", "image_ae.gen_channels"):
         if not cfg[key] > 0:  # also rejects NaN
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
     top = cfg["image_ae.base_res"] * 2 ** (cfg["image_ae.branches"] - 1)
@@ -118,8 +120,9 @@ def _validate(cfg: dict):
     for key in ("image_ae.beta1", "image_ae.beta2"):
         if not 0 <= cfg[key] < 1:  # also rejects NaN
             raise ConfigError(f"{key} must lie in [0, 1), got {cfg[key]}")
-    if cfg["image_ae.d_z"] < 0:
-        raise ConfigError(f"image_ae.d_z must be at least 0, got {cfg['image_ae.d_z']}")
+    for key in ("image_ae.d_z", "image_ae.lambda_kl", "image_ae.lambda_rec", "mapper.lambda_ae"):
+        if not cfg[key] >= 0:  # also rejects NaN
+            raise ConfigError(f"{key} must be at least 0, got {cfg[key]}")
     if cfg["mapper.batch"] < 2:
         raise ConfigError(f"mapper.batch must be at least 2, got {cfg['mapper.batch']}")
     pos, scale = cfg["data.jitter_pos"], cfg["data.jitter_scale"]

@@ -101,26 +101,29 @@ class TextAutoencoder(Module):
         batch = s.shape[0]
         return s, Tensor(np.zeros((batch, self.sentence_dim)))
 
-    def decoder_logits(self, s: Tensor, input_ids: np.ndarray) -> list[Tensor]:
-        """Teacher-forced decoder: per-step (batch, vocab) logits."""
+    def decoder_logits(self, s: Tensor, input_ids: np.ndarray) -> Tensor:
+        """Teacher-forced decoder: time-major (T*batch, vocab) logits.
+
+        The LSTM runs one step per input token; the output layer then runs
+        once over all T*batch states, so row t*batch + b is step t of
+        sequence b.
+        """
         input_ids = np.asarray(input_ids)
         h, c = self._dec_start(s)
-        logits = []
+        fused = self.dec.fused_gates()
+        states = []
         for t in range(input_ids.shape[0]):
-            x_t = self.embed(input_ids[t])
-            h, c = self.dec.step(x_t, h, c)
-            logits.append(self.out(h))
-        return logits
+            h, c = self.dec.step(self.embed(input_ids[t]), h, c, fused)
+            states.append(h)
+        return self.out(ad.concat(states, axis=0))
 
 
 def decoder_loss(model: TextAutoencoder, s: Tensor, input_ids: np.ndarray,
                  target_ids: np.ndarray) -> Tensor:
     """Mean token cross-entropy; equal-length batches hold no padding targets."""
     target_ids = np.asarray(target_ids)
-    total = None
-    for targets, step_logits in zip(target_ids, model.decoder_logits(s, input_ids)):
-        step_sum = ad.reduce("sum", ad.gather_index(ad.log_softmax(step_logits), targets))
-        total = step_sum if total is None else ad.add(total, step_sum)
+    logits = model.decoder_logits(s, input_ids)
+    total = ad.reduce("sum", ad.gather_index(ad.log_softmax(logits), target_ids.reshape(-1)))
     return ad.scale(ad.neg(total), 1.0 / target_ids.size)
 
 
@@ -148,9 +151,10 @@ def decode_text(model: TextAutoencoder, s: np.ndarray) -> list[int]:
     out: list[int] = []
     with ad.no_grad():
         h, c = model._dec_start(Tensor(s))
+        fused = model.dec.fused_gates()
         prev = np.asarray([Vocabulary.BOS])
         for _ in range(model.max_len):
-            h, c = model.dec.step(model.embed(prev), h, c)
+            h, c = model.dec.step(model.embed(prev), h, c, fused)
             logits = model.out(h).data[0].copy()
             logits[Vocabulary.PAD] = -np.inf
             logits[Vocabulary.BOS] = -np.inf

@@ -58,7 +58,9 @@ class TestExitCodes:
         "mapper.batch = 1", "data.jitter_pos = -1", "data.jitter_pos = 17",
         "data.jitter_scale = -0.9", "data.jitter_scale = -5", "data.jitter_scale = 1",
         "image_ae.disc_channels = 0", "image_ae.d_z = -1", "image_ae.beta1 = 1",
-        "image_ae.beta2 = 1.5",
+        "image_ae.beta2 = 1.5", "image_ae.epochs = 0", "text_ae.epochs = 0",
+        "image_ae.gen_channels = 0", "image_ae.lambda_kl = -1", "image_ae.lambda_rec = -0.5",
+        "mapper.lambda_ae = -1",
         pytest.param("data.image_size = 8\nimage_ae.branches = 1", id="top-res-8"),
         pytest.param("image_ae.base_res = 6\ndata.image_size = 24", id="top-res-24"),
         pytest.param("image_ae.branches = 0\nimage_ae.base_res = 64", id="no-branches"),
@@ -126,6 +128,20 @@ class TestExitCodes:
         big.write_text(TINY + "image_ae.batch = 64\n")
         assert main(["train", "--stage", "image-ae", "--config", str(big)]) == 2
         assert not (ws / "checkpoints" / "image_ae.ckpt").exists()
+
+    @pytest.mark.parametrize("stage,lines,code", [
+        ("image-ae", "image_ae.batch = 64", 2),
+        ("text-ae", "text_ae.max_len = 3", 3),  # every caption is longer
+    ])
+    def test_stage_stopped_before_training_keeps_metric_csv(self, workdir, stage, lines, code):
+        ws, cfg = workdir
+        train_stages(cfg, (stage,))
+        csv = ws / "metrics" / (stage.replace("-", "_") + ".csv")
+        before = csv.read_bytes()
+        bad = ws / "bad.cfg"
+        bad.write_text(TINY + lines + "\n")
+        assert main(["train", "--stage", stage, "--config", str(bad)]) == code
+        assert csv.read_bytes() == before
 
     def test_missing_dataset_exits_4(self, workdir):
         ws, cfg = workdir
@@ -343,3 +359,7 @@ def test_help_documents_config(capsys):
     assert "image_ae.lambda_kl" in out
     assert "mapper.kind" in out
     assert "image_ae.beta1 (default 0.5): first moment decay, in [0, 1)" in out
+    for key in ("image_ae.epochs", "text_ae.epochs", "image_ae.gen_channels"):
+        assert next(line for line in out.splitlines() if key in line).endswith(", positive")
+    for key in ("image_ae.lambda_kl", "image_ae.lambda_rec", "mapper.lambda_ae"):
+        assert next(line for line in out.splitlines() if key in line).endswith(", at least 0")

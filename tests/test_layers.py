@@ -85,7 +85,7 @@ class TestLSTMCell:
             cell.weights[gate].data[...] = 0.0
             cell.biases[gate].data[...] = 0.0
         h, c = cell.zero_state(2)
-        h_t, c_t = cell.step(Tensor(np.ones((2, 3))), h, c)
+        h_t, c_t = cell.step(Tensor(np.ones((2, 3))), h, c, cell.fused_gates())
         np.testing.assert_array_equal(c_t.data, 0.0)
         np.testing.assert_array_equal(h_t.data, 0.0)
 
@@ -96,7 +96,8 @@ class TestLSTMCell:
             cell.biases[gate].data[...] = 0.0
         cell.biases["forget"].data[...] = 50.0  # saturated forget gate
         c_prev = rng_for(2).normal(size=(2, 4))
-        _, c_t = cell.step(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))), Tensor(c_prev))
+        _, c_t = cell.step(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))), Tensor(c_prev),
+                           cell.fused_gates())
         np.testing.assert_allclose(c_t.data, c_prev, atol=1e-12)
 
     def test_vs_scalar_oracle(self):
@@ -104,7 +105,7 @@ class TestLSTMCell:
         x = rng_for(4).normal(size=(2, 3))
         h = rng_for(5).normal(size=(2, 5))
         c = rng_for(6).normal(size=(2, 5))
-        h_t, c_t = cell.step(Tensor(x), Tensor(h), Tensor(c))
+        h_t, c_t = cell.step(Tensor(x), Tensor(h), Tensor(c), cell.fused_gates())
         for row in range(2):
             h_want, c_want = lstm_scalar_oracle(cell, x[row], h[row], c[row])
             np.testing.assert_allclose(h_t.data[row], h_want, atol=1e-12, rtol=0)
@@ -119,17 +120,29 @@ class TestLSTMCell:
     def test_state_shape_mismatch(self):
         cell = LSTMCell(3, 4, rng_for(8))
         with pytest.raises(ShapeError):
-            cell.step(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 5))), Tensor(np.ones((2, 5))))
+            cell.step(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 5))), Tensor(np.ones((2, 5))),
+                      cell.fused_gates())
 
     def test_gradient_through_step(self):
         cell = LSTMCell(3, 4, rng_for(9))
         h0, c0 = cell.zero_state(2)
 
         def f(v):
-            h_t, c_t = cell.step(v, h0, c0)
+            h_t, c_t = cell.step(v, h0, c0, cell.fused_gates())
             return ad.reduce("sum", ad.mul(h_t, c_t))
 
         assert gradient_check(f, Tensor(rng_for(10).normal(size=(2, 3)))) <= 1e-6
+
+    def test_run_makes_one_matmul_per_step_and_one_weight_transpose(self, monkeypatch):
+        calls = {"matmul": 0, "transpose": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(ad, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(ad, name, counted)
+        cell = LSTMCell(3, 4, rng_for(11))
+        lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3))))
+        assert calls == {"matmul": 5, "transpose": 1}
 
 
 class TestBiLSTM:
@@ -137,8 +150,8 @@ class TestBiLSTM:
         fwd, bwd = LSTMCell(3, 4, rng_for(0)), LSTMCell(3, 4, rng_for(1))
         x = rng_for(2).normal(size=(1, 2, 3))
         out = bilstm_encode(fwd, bwd, Tensor(x))
-        h_f, _ = fwd.step(Tensor(x[0]), *fwd.zero_state(2))
-        h_b, _ = bwd.step(Tensor(x[0]), *bwd.zero_state(2))
+        h_f, _ = fwd.step(Tensor(x[0]), *fwd.zero_state(2), fwd.fused_gates())
+        h_b, _ = bwd.step(Tensor(x[0]), *bwd.zero_state(2), bwd.fused_gates())
         np.testing.assert_allclose(out.data[0], np.concatenate([h_f.data, h_b.data], axis=1),
                                    atol=1e-14)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodal import autodiff as ad
-from xmodal.autodiff import ShapeError, Tensor
+from xmodal.autodiff import ShapeError, Tensor, gradient_check
 from xmodal.errors import FormatError
 from xmodal.layers import bilstm_encode
 from xmodal.text_ae import (TextAutoencoder, Vocabulary, decode_text, decoder_loss, detokenize,
@@ -151,6 +151,68 @@ class TestDecoderLoss:
         eos = np.full((1, 1), Vocabulary.EOS, dtype=np.int64)
         loss = decoder_loss(model, s, np.concatenate([bos, ids]), np.concatenate([ids, eos]))
         assert loss.item() == pytest.approx(np.log(len(vocab)), abs=1e-12)
+
+    @staticmethod
+    def per_step_oracle(model, s, input_ids, target_ids):
+        """Mean token cross-entropy in numpy, one decoder step at a time, per-gate weights."""
+        def sig(v):
+            return 1.0 / (1.0 + np.exp(-v))
+
+        def pre(gate, cat):
+            return cat @ model.dec.weights[gate].data.T + model.dec.biases[gate].data
+
+        h, c = s.copy(), np.zeros_like(s)
+        total = 0.0
+        for inputs, targets in zip(input_ids, target_ids):
+            cat = np.concatenate([model.embed.table.data[inputs], h], axis=1)
+            c = sig(pre("forget", cat)) * c + sig(pre("input", cat)) * np.tanh(pre("candidate", cat))
+            h = sig(pre("output", cat)) * np.tanh(c)
+            logits = h @ model.out.weight.data.T + model.out.bias.data
+            z = logits - logits.max(axis=1, keepdims=True)
+            log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            total += log_probs[np.arange(len(targets)), targets].sum()
+        return -total / target_ids.size
+
+    def test_vs_per_step_oracle(self):
+        vocab = Vocabulary.from_corpus(CORPUS)
+        model = make_model(vocab, seed=10)
+        rng = np.random.default_rng(11)
+        input_ids = rng.integers(0, len(vocab), size=(5, 3))
+        target_ids = rng.integers(0, len(vocab), size=(5, 3))
+        s = rng.normal(size=(3, model.sentence_dim))
+        loss = decoder_loss(model, Tensor(s), input_ids, target_ids).item()
+        assert abs(loss - self.per_step_oracle(model, s, input_ids, target_ids)) <= 1e-12
+
+    def test_gradient_wrt_a_decoder_gate_weight(self):
+        vocab = Vocabulary.from_corpus(CORPUS)
+        model = TextAutoencoder(len(vocab), 3, 2, np.random.default_rng(12), max_len=6)
+        rng = np.random.default_rng(13)
+        input_ids = rng.integers(0, len(vocab), size=(4, 2))
+        target_ids = rng.integers(0, len(vocab), size=(4, 2))
+        s = Tensor(rng.normal(size=(2, model.sentence_dim)))
+        weight = model.dec.weights["forget"]
+
+        def f(w):
+            model.dec.weights["forget"] = w
+            return decoder_loss(model, s, input_ids, target_ids)
+
+        try:
+            assert gradient_check(f, weight) <= 1e-6
+        finally:
+            model.dec.weights["forget"] = weight
+
+
+def test_named_parameters_keep_the_per_gate_checkpoint_layout():
+    vocab = Vocabulary.from_corpus(CORPUS)
+    model = make_model(vocab)
+    v = len(vocab)
+    want = [("embed.table", (v, 100))]
+    for cell, hidden in (("enc_fwd", 50), ("enc_bwd", 50), ("dec", 100)):
+        for gate in ("input", "forget", "output", "candidate"):
+            want += [(f"{cell}.{gate}.weight", (hidden, 100 + hidden)), (f"{cell}.{gate}.bias", (hidden,))]
+    want += [("out.weight", (v, 100)), ("out.bias", (v,))]
+    assert len(want) == 27
+    assert [(name, p.shape) for name, p in model.named_parameters()] == want
 
 
 class TestTraining:
