@@ -28,10 +28,6 @@ class GraphError(RuntimeError):
     """Backward called on a non-scalar loss or an already-consumed graph."""
 
 
-class GradientCheckError(RuntimeError):
-    """Non-finite value met while finite-differencing; names the coordinate."""
-
-
 _state = threading.local()
 
 
@@ -637,39 +633,3 @@ def backward(loss: Tensor):
             node._parents = ()
             node._backward_fn = None
             node.grad = None  # interior grads are scratch; parameters are leaves
-
-
-def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Relative error per coordinate is |analytic - numeric| divided by
-    max(1, |analytic|, |numeric|). Non-finite values abort with the offending
-    coordinate index.
-    """
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out = f(probe)
-    if out.data.size != 1:
-        raise GraphError("gradient_check needs a scalar-valued function")
-    backward(out)
-    analytic = probe.grad.copy() if probe.grad is not None else np.zeros_like(probe.data)
-
-    numeric = np.zeros_like(probe.data)
-    flat = probe.data.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = f(probe).item()
-            flat[i] = orig - eps
-            lo = f(probe).item()
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise GradientCheckError(f"non-finite evaluation at coordinate {i}")
-            num_flat[i] = (hi - lo) / (2.0 * eps)
-
-    if not np.all(np.isfinite(analytic)):
-        bad = int(np.flatnonzero(~np.isfinite(analytic.reshape(-1)))[0])
-        raise GradientCheckError(f"non-finite analytic gradient at coordinate {bad}")
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -1,8 +1,9 @@
 """End-to-end pipeline: datagen -> train stages -> translate -> evaluate.
 
 One command runs at a time per working directory (lock file). Exit codes:
-0 ok, 2 config error, 3 I/O or format error, 4 missing prerequisite
-checkpoint, 5 numerical divergence (last good checkpoint retained).
+0 ok, 2 config error (also configured sizes that do not fit in memory), 3 I/O
+or format error, 4 missing prerequisite checkpoint, 5 numerical divergence
+(last good checkpoint retained).
 """
 
 from __future__ import annotations
@@ -402,6 +403,9 @@ def main(argv=None) -> int:
             return cmd_evaluate(ws, cfg, args.seed, args.split)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # every array size comes from the config
+        print(f"config error: the configured sizes do not fit in memory: {e}", file=sys.stderr)
         return 2
     except (FormatError, OSError) as e:
         print(f"i/o or format error: {e}", file=sys.stderr)

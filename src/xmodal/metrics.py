@@ -181,16 +181,3 @@ class MetricReport:
             raise FormatError(f"metric {metric!r} is not finite: {value}")
         with open(self.path, "a", encoding="utf-8", newline="\n") as f:
             f.write(f"{metric},{value!r},{dataset},{checkpoint},{seed}\n")
-
-
-def read_metric_rows(path) -> list[dict]:
-    rows = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not body or body[0] != MetricReport.HEADER:
-        raise FormatError(f"{path}: missing metric CSV header")
-    for ln in body[1:]:
-        metric, value, dataset, checkpoint, seed = ln.split(",")
-        rows.append({"metric": metric, "value": float(value), "dataset": dataset,
-                     "checkpoint": checkpoint, "seed": int(seed)})
-    return rows

@@ -60,7 +60,7 @@ class TestExitCodes:
         "image_ae.disc_channels = 0", "image_ae.d_z = -1", "image_ae.beta1 = 1",
         "image_ae.beta2 = 1.5", "image_ae.epochs = 0", "text_ae.epochs = 0",
         "image_ae.gen_channels = 0", "image_ae.lambda_kl = -1", "image_ae.lambda_rec = -0.5",
-        "mapper.lambda_ae = -1",
+        "mapper.lambda_ae = -1", "mapper.n_critic = 0", "mapper.n_critic = -1",
         pytest.param("data.image_size = 8\nimage_ae.branches = 1", id="top-res-8"),
         pytest.param("image_ae.base_res = 6\ndata.image_size = 24", id="top-res-24"),
         pytest.param("image_ae.branches = 0\nimage_ae.base_res = 64", id="no-branches"),
@@ -73,6 +73,14 @@ class TestExitCodes:
         bad.write_bytes((TINY + lines + "\n").encode("utf-8", "surrogateescape"))
         assert main(["datagen", "--config", str(bad)]) == 2
         assert not (ws / "dataset").exists()
+
+    def test_sizes_beyond_memory_exit_2(self, workdir):
+        ws, cfg = workdir
+        assert main(["datagen", "--config", cfg]) == 0
+        huge = ws / "huge.cfg"
+        # the first LSTM gate weight would take 6.94 EiB, past any address space
+        huge.write_text(TINY + "text_ae.hidden = 1000000000\n")
+        assert main(["train", "--stage", "text-ae", "--config", str(huge)]) == 2
 
     @pytest.mark.parametrize("name", ["manifest.txt", "train/captions.tsv", "train/images.tsv"])
     def test_non_utf8_dataset_file_exits_3(self, workdir, name):

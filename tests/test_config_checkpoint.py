@@ -1,6 +1,7 @@
 """Config parsing and binary checkpoint format."""
 
 import dataclasses
+import re
 import struct
 import zlib
 
@@ -66,9 +67,21 @@ class TestConfig:
 
     def test_help_documents_every_key(self):
         text = help_text()
-        for key, (default, _, _) in DEFAULTS.items():
+        for key, (default, _, _, _) in DEFAULTS.items():
             assert key in text
             assert str(default) in text
+
+    @pytest.mark.parametrize("key", [key for key, entry in DEFAULTS.items() if entry[2]])
+    def test_bounded_key_documents_and_enforces_its_domain(self, tmp_path, key):
+        domain = DEFAULTS[key][2]
+        line = next(ln for ln in help_text().splitlines() if ln.startswith(f"  {key} "))
+        assert line.endswith(f", {domain.text}")
+        rejected = {"positive": 0, "at least 0": -1, "in [0, 1)": 1, "at least 2": 1,
+                    "gan or mmd": "vae"}[domain.text]
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {rejected}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be"):
+            resolve_config(path)
 
     def test_config_lines_sorted_and_complete(self):
         cfg = resolve_config(None)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from xmodal import autodiff as ad
-from xmodal.autodiff import ShapeError, Tensor, gradient_check
+from xmodal.autodiff import ShapeError, Tensor
 from xmodal.image_ae import (BranchDiscriminator, CondAugment, ImageAEConfig, ImageAutoencoder,
                              discriminator_loss, downsample_to, encode_image,
                              generate_images, generator_adversarial_loss, kl_standard_normal,
                              l1_reconstruction, train_image_autoencoder)
+
+from helpers import gradient_check
 
 SMALL = ImageAEConfig(branches=3, base_res=8, d_img=16, d_c=8, d_z=8,
                       gen_channels=16, disc_channels=8, batch=8, epochs=1)

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodal import autodiff as ad
-from xmodal.autodiff import ShapeError, Tensor, backward, gradient_check
+from xmodal.autodiff import ShapeError, Tensor, backward
 from xmodal.layers import (Conv2dLayer, DenseLayer, EmbeddingTable, LSTMCell, bilstm_encode,
                            glorot_uniform, lstm_run, max_over_time)
 from xmodal.text_ae import Vocabulary
+
+from helpers import gradient_check
 
 
 def rng_for(seed=0):

@@ -9,8 +9,9 @@ from xmodal.autodiff import ShapeError
 from xmodal.data import LabeledEmbeddingSet
 from xmodal.errors import FormatError
 from xmodal.mappers import KernelSpec, mmd2_unbiased
-from xmodal.metrics import (MetricReport, bleu, class_accuracy, read_metric_rows, rouge_l,
-                            two_sample_test)
+from xmodal.metrics import MetricReport, bleu, class_accuracy, rouge_l, two_sample_test
+
+from helpers import read_metric_rows
 
 
 class TestCosine:

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodal import autodiff as ad
-from xmodal.autodiff import ShapeError, Tensor, gradient_check
+from xmodal.autodiff import ShapeError, Tensor
 from xmodal.errors import FormatError
 from xmodal.layers import bilstm_encode
 from xmodal.text_ae import (TextAutoencoder, Vocabulary, decode_text, decoder_loss, detokenize,
                             encode_text, roundtrip, tokenize, train_text_autoencoder)
+
+from helpers import gradient_check
 
 CORPUS = [
     (0, tokenize("a red circle on a white background")),
