@@ -2,7 +2,12 @@
 
 Every operation records a node on an implicit computation graph (child ->
 parent links plus a backward closure). `backward` consumes the graph: a
-second traversal through any consumed node raises. Broadcasting is
+second traversal through any consumed node raises. A matmul's backward does
+not form its right operand's gradient on the spot: it records the pair
+(left operand, output gradient) on that operand, and `backward` settles all
+of a node's pairs with one GEMM when the node's own turn comes, so a weight
+used at every step of a sequence gets one product per sequence, not one per
+step. Broadcasting is
 deliberately restricted to scalar-with-tensor; rank mismatches are errors,
 and structural changes go through explicit ops (reshape, concat, narrow).
 """
@@ -52,7 +57,8 @@ class Tensor:
     The shape is fixed at creation; `grad`, when present, always matches it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_consumed",
+                 "_matmul_pairs")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -64,6 +70,9 @@ class Tensor:
         self._parents: tuple = ()
         self._backward_fn: Optional[Callable[[], None]] = None
         self._consumed = False
+        # (left operand, output gradient) of each matmul that took this tensor
+        # as its right operand; `backward` settles them (see `_settle`)
+        self._matmul_pairs: Optional[list] = None
 
     @property
     def shape(self) -> tuple:
@@ -88,6 +97,17 @@ class Tensor:
             self.grad = np.array(g, dtype=np.float64)  # copy: g may alias a live buffer
         else:
             self.grad += g
+
+    def _settle(self):
+        # one GEMM over every recorded matmul: sum_t a_t.T @ g_t = A.T @ G
+        pairs, self._matmul_pairs = self._matmul_pairs, None
+        a = np.concatenate([a for a, _ in pairs])
+        g = np.concatenate([g for _, g in pairs])
+        dw = a.T @ g  # fresh array: no defensive copy
+        if self.grad is None:
+            self.grad = dw
+        else:
+            self.grad += dw
 
 
 def _make_node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -263,7 +283,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(out.grad @ b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ out.grad)
+            if b._matmul_pairs is None:
+                b._matmul_pairs = []
+            b._matmul_pairs.append((a.data, out.grad))
 
     out = _make_node(out_data, (a, b), backward_fn)
     return out
@@ -623,9 +645,18 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node._backward_fn is not None:
-            node._backward_fn()
+    try:
+        # reverse topological order: every consumer of a node has run before
+        # the node's turn, so its recorded matmul pairs are complete
+        for node in reversed(topo):
+            if node._matmul_pairs is not None:
+                node._settle()
+            if node._backward_fn is not None:
+                node._backward_fn()
+    except BaseException:
+        for node in topo:  # pairs left by a failed pass must not reach a later one
+            node._matmul_pairs = None
+        raise
 
     for node in topo:
         if node._parents:

@@ -99,6 +99,26 @@ class TestMatmul:
             want = np.ones((3, 2)) @ b.T if a_grad else a.T @ np.ones((3, 2))
             np.testing.assert_array_equal(trained.grad, want)
 
+    def test_shared_right_operand_gets_every_use(self):
+        # one matrix as the right operand of three matmuls and an operand of one add
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(4, 3))
+        xs = [rng.normal(size=(n, 4)) for n in (1, 2, 5)]
+        gs = [rng.normal(size=(n, 3)) for n in (1, 2, 5)]
+        c, g_add = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+
+        def f(wt):
+            loss = ad.reduce("sum", ad.mul(ad.add(wt, t(c)), t(g_add)))
+            for x, g in zip(xs, gs):
+                loss = ad.add(loss, ad.reduce("sum", ad.mul(ad.matmul(t(x), wt), t(g))))
+            return loss
+
+        wt = t(w, grad=True)
+        backward(f(wt))
+        want = sum(x.T @ g for x, g in zip(xs, gs)) + g_add
+        np.testing.assert_allclose(wt.grad, want, atol=1e-12, rtol=0)
+        assert gradient_check(f, t(w)) <= 1e-6
+
 
 def conv_loop_oracle(x, w, stride=1, padding=0):
     if padding:

@@ -146,6 +146,36 @@ class TestLSTMCell:
         lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3))))
         assert calls == {"matmul": 5, "transpose": 1}
 
+    def test_run_writes_the_fused_weight_gradient_once(self, monkeypatch):
+        class CountedWeight(Tensor):
+            """A leaf that counts the arrays written into its gradient buffer."""
+            __slots__ = ("writes",)
+
+            def __init__(self, data):
+                self.writes = 0
+                super().__init__(data, requires_grad=True)
+
+            @property
+            def grad(self):
+                return Tensor.grad.__get__(self)
+
+            @grad.setter
+            def grad(self, value):
+                self.writes += value is not None
+                Tensor.grad.__set__(self, value)
+
+        cell = LSTMCell(3, 4, rng_for(13))
+        x = Tensor(rng_for(14).normal(size=(5, 2, 3)))
+        backward(ad.reduce("sum", ad.stack0(lstm_run(cell, x))))
+        want = np.concatenate([cell.weights[g].grad for g in cell.GATES]).T
+
+        weight, bias = cell.fused_gates()
+        counted = CountedWeight(weight.data)
+        monkeypatch.setattr(cell, "fused_gates", lambda: (counted, bias))
+        backward(ad.reduce("sum", ad.stack0(lstm_run(cell, x))))
+        assert counted.writes == 1  # one product for the 5 steps, not one per step
+        np.testing.assert_allclose(counted.grad, want, atol=1e-12, rtol=0)
+
 
 class TestBiLSTM:
     def test_single_step_is_concat(self):
