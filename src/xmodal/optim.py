@@ -33,11 +33,23 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+            # p -= lr (m / bias1) / (sqrt(v / bias2) + eps), in place through
+            # two scratch arrays, one rounding step after another as written
+            upd = np.multiply(g, 1.0 - b1, out=np.empty_like(g))
             m *= b1
-            m += (1.0 - b1) * g
+            m += upd
+            np.multiply(g, g, out=upd)
+            upd *= 1.0 - b2
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            v += upd
+            np.divide(m, bias1, out=upd)
+            upd *= self.lr
+            den = np.divide(v, bias2, out=np.empty_like(v))
+            np.sqrt(den, out=den)
+            den += self.eps
+            upd /= den
+            p.data -= upd
 
 
 class TrainingRun:
