@@ -180,8 +180,7 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
     ckpt_name = ckpt_path.name
     rng = stage_rng(seed, stage)
 
-    # Load and check every input first: a stage that stops here keeps the
-    # previous run's metric CSV next to the previous run's checkpoint.
+    # Load and check every input before the stage writes anything.
     if stage == "image-ae":
         images, _ = load_image_split(dataset, "train")
         if cfg["image_ae.batch"] > len(images):
@@ -218,19 +217,31 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
         def train(log):
             return trainer(source, target, mcfg, rng, log=log)
 
+    # The rows go to a .part file that replaces the CSV only when a checkpoint
+    # is written, so a run that fails or is killed in training keeps the
+    # previous run's CSV next to the previous run's checkpoint.
     metrics_path = ws.metrics / (stage.replace("-", "_") + ".csv")
-    metrics_path.unlink(missing_ok=True)
-    report = MetricReport(metrics_path, comments=config_lines(cfg) + [f"seed={seed}"])
+    part_path = metrics_path.with_name(metrics_path.name + ".part")
+    part_path.unlink(missing_ok=True)
+    report = MetricReport(part_path, comments=config_lines(cfg) + [f"seed={seed}"])
 
     def log(row: dict):
         report.append(row["metric"], row["value"], dataset_id, ckpt_name, seed)
 
+    saved = False
     try:
         save_module(train(log), ckpt_path)
+        saved = True
     except DivergenceError as e:
         if e.last_good is not None:
             save_checkpoint(ckpt_path, e.last_good)
+            saved = True
         raise
+    finally:
+        if saved:
+            os.replace(part_path, metrics_path)
+        else:
+            part_path.unlink(missing_ok=True)
     print(f"stage {stage}: checkpoint {ckpt_path}")
     return 0
 

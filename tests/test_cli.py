@@ -9,7 +9,7 @@ import pytest
 
 from xmodal.checkpoint import load_checkpoint, load_into, save_checkpoint
 from xmodal.cli import TRAIN_STAGES, main
-from xmodal.config import resolve_config, section
+from xmodal.config import config_lines, resolve_config, section
 from xmodal.data import load_caption_split, write_ppm
 from xmodal.image_ae import ImageAEConfig, ImageAutoencoder
 from xmodal.mappers import MapperGenerator
@@ -140,6 +140,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("stage,lines,code", [
         ("image-ae", "image_ae.batch = 64", 2),
         ("text-ae", "text_ae.max_len = 3", 3),  # every caption is longer
+        ("text-ae", "text_ae.hidden = 1000000000", 2),  # fails in training, out of memory
     ])
     def test_stage_stopped_before_training_keeps_metric_csv(self, workdir, stage, lines, code):
         ws, cfg = workdir
@@ -150,6 +151,7 @@ class TestExitCodes:
         bad.write_text(TINY + lines + "\n")
         assert main(["train", "--stage", stage, "--config", str(bad)]) == code
         assert csv.read_bytes() == before
+        assert list(csv.parent.iterdir()) == [csv]  # no .part file left
 
     def test_missing_dataset_exits_4(self, workdir):
         ws, cfg = workdir
@@ -270,6 +272,11 @@ def test_divergence_keeps_last_good_checkpoint(workdir, case):
         module = MapperGenerator(*dims, resolved["mapper.hidden"], rng)
     assert list(arrays) == [name for name, _ in module.named_parameters()]
     load_into(module, ckpt)  # shapes match too
+    # the metric CSV of the diverged run sits next to its checkpoint
+    csv = ws / "metrics" / (stage.replace("-", "_") + ".csv")
+    comments = [ln[2:] for ln in csv.read_text().splitlines() if ln.startswith("# ")]
+    assert comments[:-1] == config_lines(resolved)
+    assert not csv.with_name(csv.name + ".part").exists()
 
 
 class TestDatagen:
