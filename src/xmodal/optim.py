@@ -34,8 +34,8 @@ class Adam:
                 continue
             g = p.grad
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-            # p -= lr (m / bias1) / (sqrt(v / bias2) + eps), in place through
-            # two scratch arrays, one rounding step after another as written
+            # p -= lr (m / bias1) / (sqrt(v / bias2) + eps), in place in two
+            # scratch arrays and in the order written, so bit for bit the same
             upd = np.multiply(g, 1.0 - b1, out=np.empty_like(g))
             m *= b1
             m += upd

@@ -315,6 +315,21 @@ class TestBackward:
         backward(ad.reduce("sum", y))
         np.testing.assert_allclose(x.grad, [5.0])
 
+    def test_failed_backward_does_not_reach_the_next(self):
+        # the matmul records its pair on w, then the left operand's rule raises
+        w = t(np.eye(2), grad=True)
+        left = ad.reshape(w, (2, 2))
+
+        def fail():
+            raise RuntimeError("backward rule failed")
+
+        left._backward_fn = fail
+        with pytest.raises(RuntimeError):
+            backward(ad.reduce("sum", ad.matmul(left, w)))
+        w.grad = None
+        backward(ad.reduce("sum", ad.matmul(t(np.ones((1, 2))), w)))
+        np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+
 
 class TestGradientCheck:
     def test_sum_is_exact(self):
