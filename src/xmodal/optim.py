@@ -32,11 +32,13 @@ class Adam:
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            g = p.grad
+            # a weight's gradient arrives column-major from its transpose node;
+            # one row-major copy keeps every update below on one layout
+            g = np.asarray(p.grad, order="C")
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
             # p -= lr (m / bias1) / (sqrt(v / bias2) + eps), in place in two
             # scratch arrays and in the order written, so bit for bit the same
-            upd = np.multiply(g, 1.0 - b1, out=np.empty_like(g))
+            upd = np.multiply(g, 1.0 - b1, out=np.empty_like(m))
             m *= b1
             m += upd
             np.multiply(g, g, out=upd)
