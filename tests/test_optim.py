@@ -22,7 +22,7 @@ class TestAdam:
         for step in range(1, 4):
             grads = [rng.normal(size=s) for s in shapes]
             for p, g in zip(params, grads):
-                p.grad = g.copy()
+                p.grad = np.array(g, order="F")  # column-major, as a transpose node leaves it
             opt.step()
             bias1, bias2 = 1.0 - b1 ** step, 1.0 - b2 ** step
             for i, g in enumerate(grads):
