@@ -94,7 +94,9 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)  # copy: g may alias a live buffer
+            # copy, as g may alias a live buffer; row-major, like every parameter,
+            # also when g is a transposed view
+            self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
 

@@ -88,13 +88,13 @@ class EmbeddingTable(Module):
 
 
 class LSTMCell(Module):
-    """Single LSTM cell; each gate weight is (hidden, input+hidden).
+    """Single LSTM cell over one fused gate matrix.
 
-    Parameters are registered per gate (`input.weight`, ..., `candidate.bias`)
-    so checkpoints name each gate. `fused_gates` concatenates them once per
-    sequence into one (input+hidden, 4*hidden) matrix and one (4*hidden,)
-    bias in `GATES` order; `step` then runs one matmul over all four gates.
-    Forget-gate bias starts at +1 so early training keeps cell memory.
+    `weight` is (input+hidden, 4*hidden) and `bias` is (4*hidden,), their
+    columns in `GATES` order, so each step runs one matmul over all four
+    gates. Each gate's block is drawn as its own Glorot matrix (fan-out
+    `hidden`); the forget-gate bias starts at +1 so early training keeps
+    cell memory.
     """
 
     GATES = ("input", "forget", "output", "candidate")  # sigmoid gates first, then tanh
@@ -104,31 +104,20 @@ class LSTMCell(Module):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         cat = input_dim + hidden_dim
-        self.weights = {}
-        self.biases = {}
-        for gate in self.GATES:
-            w = Tensor(glorot_uniform(rng, (hidden_dim, cat), cat, hidden_dim))
-            b = Tensor(np.full(hidden_dim, 1.0) if gate == "forget" else np.zeros(hidden_dim))
-            self.weights[gate] = self._register(f"{gate}.weight", w)
-            self.biases[gate] = self._register(f"{gate}.bias", b)
+        blocks = [glorot_uniform(rng, (hidden_dim, cat), cat, hidden_dim) for _ in self.GATES]
+        bias = np.zeros(4 * hidden_dim)
+        bias[hidden_dim:2 * hidden_dim] = 1.0  # the forget block
+        self.weight = self._register("weight", Tensor(np.concatenate(blocks).T))
+        self.bias = self._register("bias", Tensor(bias))
 
-    def fused_gates(self) -> tuple[Tensor, Tensor]:
-        """The gate weights as one (input+hidden, 4*hidden) matrix and one bias."""
-        weight = ad.transpose(ad.concat([self.weights[g] for g in self.GATES], axis=0))
-        bias = ad.concat([self.biases[g] for g in self.GATES], axis=0)
-        return weight, bias
-
-    def step(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
-             fused: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        """One time step; `fused` is this cell's `fused_gates()` for the sequence."""
+    def step(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
         if x_t.data.ndim != 2 or x_t.shape[1] != self.input_dim:
             raise ShapeError(f"lstm step expects (batch, {self.input_dim}) input, got {x_t.shape}")
         if h_prev.shape != (x_t.shape[0], self.hidden_dim) or c_prev.shape != h_prev.shape:
             raise ShapeError(f"lstm state shapes {h_prev.shape}/{c_prev.shape} do not match batch "
                              f"{x_t.shape[0]} x hidden {self.hidden_dim}")
-        weight, bias = fused
         hid = self.hidden_dim
-        pre = ad.add_rowvec(ad.matmul(ad.concat([x_t, h_prev], axis=1), weight), bias)
+        pre = ad.add_rowvec(ad.matmul(ad.concat([x_t, h_prev], axis=1), self.weight), self.bias)
         ifo = ad.sigmoid(ad.narrow(pre, 1, 0, 3 * hid))
         g = ad.tanh(ad.narrow(pre, 1, 3 * hid, hid))
         i, f, o = (ad.narrow(ifo, 1, k * hid, hid) for k in range(3))
@@ -149,12 +138,11 @@ def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False) -> list[Tens
     if t_steps < 1:
         raise ShapeError("empty sequence")
     h, c = cell.zero_state(batch)
-    fused = cell.fused_gates()
     order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
     outputs: list = [None] * t_steps
     for t in order:
         x_t = ad.reshape(ad.narrow(inputs, 0, t, 1), (batch, dim))
-        h, c = cell.step(x_t, h, c, fused)
+        h, c = cell.step(x_t, h, c)
         outputs[t] = h
     return outputs
 

@@ -30,11 +30,9 @@ class Adam:
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 continue
-            # a weight's gradient arrives column-major from its transpose node;
-            # one row-major copy keeps every update below on one layout
-            g = np.asarray(p.grad, order="C")
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
             # p -= lr (m / bias1) / (sqrt(v / bias2) + eps), in place in two
             # scratch arrays and in the order written, so bit for bit the same

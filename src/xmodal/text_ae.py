@@ -110,10 +110,9 @@ class TextAutoencoder(Module):
         """
         input_ids = np.asarray(input_ids)
         h, c = self._dec_start(s)
-        fused = self.dec.fused_gates()
         states = []
         for t in range(input_ids.shape[0]):
-            h, c = self.dec.step(self.embed(input_ids[t]), h, c, fused)
+            h, c = self.dec.step(self.embed(input_ids[t]), h, c)
             states.append(h)
         return self.out(ad.concat(states, axis=0))
 
@@ -151,10 +150,9 @@ def decode_text(model: TextAutoencoder, s: np.ndarray) -> list[int]:
     out: list[int] = []
     with ad.no_grad():
         h, c = model._dec_start(Tensor(s))
-        fused = model.dec.fused_gates()
         prev = np.asarray([Vocabulary.BOS])
         for _ in range(model.max_len):
-            h, c = model.dec.step(model.embed(prev), h, c, fused)
+            h, c = model.dec.step(model.embed(prev), h, c)
             logits = model.out(h).data[0].copy()
             logits[Vocabulary.PAD] = -np.inf
             logits[Vocabulary.BOS] = -np.inf

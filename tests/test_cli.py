@@ -12,6 +12,7 @@ from xmodal.cli import TRAIN_STAGES, main
 from xmodal.config import config_lines, resolve_config, section
 from xmodal.data import load_caption_split, write_ppm
 from xmodal.image_ae import ImageAEConfig, ImageAutoencoder
+from xmodal.layers import LSTMCell
 from xmodal.mappers import MapperGenerator
 from xmodal.text_ae import TextAutoencoder, Vocabulary
 
@@ -213,6 +214,26 @@ def _add_discriminator_tensor(checkpoints: Path):
     save_checkpoint(path, [*load_checkpoint(path).items(), ("disc0.uncond.bias", np.zeros(1))])
 
 
+def _split_lstm_gates(checkpoints: Path):
+    # the layout written while each LSTM cell stored one weight and one bias per gate
+    path = checkpoints / "text_ae.ckpt"
+    fused = load_checkpoint(path)
+    arrays = []
+    for name, value in fused.items():
+        cell, kind = name.rsplit(".", 1)
+        if cell not in ("enc_fwd", "enc_bwd", "dec"):
+            arrays.append((name, value))
+        elif kind == "weight":
+            bias = fused[f"{cell}.bias"]
+            hid = bias.size // 4
+            for k, gate in enumerate(LSTMCell.GATES):
+                cols = slice(k * hid, (k + 1) * hid)
+                arrays += [(f"{cell}.{gate}.weight", value[:, cols].T),
+                           (f"{cell}.{gate}.bias", bias[cols])]
+    assert len(arrays) == 27
+    save_checkpoint(path, arrays)
+
+
 # case -> (fault put into a workdir holding both autoencoders, command, exit code)
 AFTER_AUTOENCODERS = {
     "mapper-without-vocabulary": (_drop_vocabulary, ["train", "--stage", "mapper-t2i"], 4),
@@ -221,6 +242,7 @@ AFTER_AUTOENCODERS = {
     "evaluate-without-mappers": (None, ["evaluate", "--split", "test"], 4),
     "image-ae-with-discriminator": (_add_discriminator_tensor,
                                     ["train", "--stage", "mapper-i2t"], 3),
+    "text-ae-per-gate-layout": (_split_lstm_gates, ["train", "--stage", "mapper-i2t"], 3),
 }
 
 

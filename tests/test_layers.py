@@ -60,20 +60,26 @@ class TestDense:
 
         assert gradient_check(g, probe) <= 1e-6
 
+    def test_weight_gradient_is_row_major(self):
+        # the transpose node hands back a column-major view; the parameter is row-major
+        layer = DenseLayer(5, 3, rng_for(6))
+        backward(ad.reduce("sum", layer(Tensor(rng_for(7).normal(size=(4, 5))))))
+        assert layer.weight.grad.flags.c_contiguous
+
 
 def lstm_scalar_oracle(cell: LSTMCell, x, h, c):
-    """Pure-python per-coordinate evaluation of one LSTM step."""
+    """Pure-python per-coordinate evaluation of one LSTM step; gate k is columns k*h:(k+1)*h."""
     cat = np.concatenate([x, h])
+    hid = cell.hidden_dim
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
     gates = {}
-    for gate in LSTMCell.GATES:
-        w = cell.weights[gate].data
-        b = cell.biases[gate].data
-        pre = np.array([np.dot(w[k], cat) + b[k] for k in range(w.shape[0])])
-        gates[gate] = pre
+    for k, gate in enumerate(LSTMCell.GATES):
+        w = cell.weight.data[:, k * hid:(k + 1) * hid]
+        b = cell.bias.data[k * hid:(k + 1) * hid]
+        gates[gate] = np.array([np.dot(w[:, j], cat) + b[j] for j in range(hid)])
     i, f, o = sig(gates["input"]), sig(gates["forget"]), sig(gates["output"])
     g = np.tanh(gates["candidate"])
     c_t = f * c + i * g
@@ -83,23 +89,20 @@ def lstm_scalar_oracle(cell: LSTMCell, x, h, c):
 class TestLSTMCell:
     def test_all_zero_parameters(self):
         cell = LSTMCell(3, 4, rng_for(0))
-        for gate in cell.GATES:
-            cell.weights[gate].data[...] = 0.0
-            cell.biases[gate].data[...] = 0.0
+        cell.weight.data[...] = 0.0
+        cell.bias.data[...] = 0.0
         h, c = cell.zero_state(2)
-        h_t, c_t = cell.step(Tensor(np.ones((2, 3))), h, c, cell.fused_gates())
+        h_t, c_t = cell.step(Tensor(np.ones((2, 3))), h, c)
         np.testing.assert_array_equal(c_t.data, 0.0)
         np.testing.assert_array_equal(h_t.data, 0.0)
 
     def test_forget_saturation_carries_memory(self):
         cell = LSTMCell(3, 4, rng_for(1))
-        for gate in cell.GATES:
-            cell.weights[gate].data[...] = 0.0
-            cell.biases[gate].data[...] = 0.0
-        cell.biases["forget"].data[...] = 50.0  # saturated forget gate
+        cell.weight.data[...] = 0.0
+        cell.bias.data[...] = 0.0
+        cell.bias.data[4:8] = 50.0  # saturated forget gate
         c_prev = rng_for(2).normal(size=(2, 4))
-        _, c_t = cell.step(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))), Tensor(c_prev),
-                           cell.fused_gates())
+        _, c_t = cell.step(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))), Tensor(c_prev))
         np.testing.assert_allclose(c_t.data, c_prev, atol=1e-12)
 
     def test_vs_scalar_oracle(self):
@@ -107,35 +110,40 @@ class TestLSTMCell:
         x = rng_for(4).normal(size=(2, 3))
         h = rng_for(5).normal(size=(2, 5))
         c = rng_for(6).normal(size=(2, 5))
-        h_t, c_t = cell.step(Tensor(x), Tensor(h), Tensor(c), cell.fused_gates())
+        h_t, c_t = cell.step(Tensor(x), Tensor(h), Tensor(c))
         for row in range(2):
             h_want, c_want = lstm_scalar_oracle(cell, x[row], h[row], c[row])
             np.testing.assert_allclose(h_t.data[row], h_want, atol=1e-12, rtol=0)
             np.testing.assert_allclose(c_t.data[row], c_want, atol=1e-12, rtol=0)
 
-    def test_forget_bias_initialized_to_one(self):
-        cell = LSTMCell(3, 4, rng_for(7))
-        np.testing.assert_array_equal(cell.biases["forget"].data, 1.0)
-        for gate in ("input", "output", "candidate"):
-            np.testing.assert_array_equal(cell.biases[gate].data, 0.0)
+    def test_initial_values_are_the_per_gate_draws(self):
+        # each gate is its own Glorot draw with fan-out hidden, in GATES order;
+        # one fused draw with fan-out 4*hidden would move every text artifact
+        d, h = 3, 4
+        cell = LSTMCell(d, h, rng_for(7))
+        rng = rng_for(7)
+        want = np.concatenate([glorot_uniform(rng, (h, d + h), d + h, h) for _ in LSTMCell.GATES]).T
+        assert cell.weight.shape == (d + h, 4 * h)
+        assert np.array_equal(cell.weight.data, want)
+        np.testing.assert_array_equal(cell.bias.data[h:2 * h], 1.0)  # forget gate
+        np.testing.assert_array_equal(np.delete(cell.bias.data, np.s_[h:2 * h]), 0.0)
 
     def test_state_shape_mismatch(self):
         cell = LSTMCell(3, 4, rng_for(8))
         with pytest.raises(ShapeError):
-            cell.step(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 5))), Tensor(np.ones((2, 5))),
-                      cell.fused_gates())
+            cell.step(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 5))), Tensor(np.ones((2, 5))))
 
     def test_gradient_through_step(self):
         cell = LSTMCell(3, 4, rng_for(9))
         h0, c0 = cell.zero_state(2)
 
         def f(v):
-            h_t, c_t = cell.step(v, h0, c0, cell.fused_gates())
+            h_t, c_t = cell.step(v, h0, c0)
             return ad.reduce("sum", ad.mul(h_t, c_t))
 
         assert gradient_check(f, Tensor(rng_for(10).normal(size=(2, 3)))) <= 1e-6
 
-    def test_run_makes_one_matmul_per_step_and_one_weight_transpose(self, monkeypatch):
+    def test_run_makes_one_matmul_per_step_and_no_transpose(self, monkeypatch):
         calls = {"matmul": 0, "transpose": 0}
         for name in calls:
             def counted(*args, _fn=getattr(ad, name), _name=name):
@@ -144,9 +152,9 @@ class TestLSTMCell:
             monkeypatch.setattr(ad, name, counted)
         cell = LSTMCell(3, 4, rng_for(11))
         lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3))))
-        assert calls == {"matmul": 5, "transpose": 1}
+        assert calls == {"matmul": 5, "transpose": 0}
 
-    def test_run_writes_the_fused_weight_gradient_once(self, monkeypatch):
+    def test_run_writes_the_fused_weight_gradient_once(self):
         class CountedWeight(Tensor):
             """A leaf that counts the arrays written into its gradient buffer."""
             __slots__ = ("writes",)
@@ -165,16 +173,24 @@ class TestLSTMCell:
                 Tensor.grad.__set__(self, value)
 
         cell = LSTMCell(3, 4, rng_for(13))
-        x = Tensor(rng_for(14).normal(size=(5, 2, 3)))
-        backward(ad.reduce("sum", ad.stack0(lstm_run(cell, x))))
-        want = np.concatenate([cell.weights[g].grad for g in cell.GATES]).T
+        x = rng_for(14).normal(size=(5, 2, 3))
+        weight = cell.weight.data
 
-        weight, bias = cell.fused_gates()
-        counted = CountedWeight(weight.data)
-        monkeypatch.setattr(cell, "fused_gates", lambda: (counted, bias))
-        backward(ad.reduce("sum", ad.stack0(lstm_run(cell, x))))
-        assert counted.writes == 1  # one product for the 5 steps, not one per step
-        np.testing.assert_allclose(counted.grad, want, atol=1e-12, rtol=0)
+        # oracle: a separate weight leaf per step, each given its own product
+        leaves, states = [], []
+        h, c = cell.zero_state(2)
+        for t in range(5):
+            cell.weight = Tensor(weight, requires_grad=True)
+            leaves.append(cell.weight)
+            h, c = cell.step(Tensor(x[t]), h, c)
+            states.append(h)
+        backward(ad.reduce("sum", ad.stack0(states)))
+        want = sum(leaf.grad for leaf in leaves)
+
+        cell.weight = CountedWeight(weight)
+        backward(ad.reduce("sum", ad.stack0(lstm_run(cell, Tensor(x)))))
+        assert cell.weight.writes == 1  # one product for the 5 steps, not one per step
+        np.testing.assert_allclose(cell.weight.grad, want, atol=1e-12, rtol=0)
 
 
 class TestBiLSTM:
@@ -182,8 +198,8 @@ class TestBiLSTM:
         fwd, bwd = LSTMCell(3, 4, rng_for(0)), LSTMCell(3, 4, rng_for(1))
         x = rng_for(2).normal(size=(1, 2, 3))
         out = bilstm_encode(fwd, bwd, Tensor(x))
-        h_f, _ = fwd.step(Tensor(x[0]), *fwd.zero_state(2), fwd.fused_gates())
-        h_b, _ = bwd.step(Tensor(x[0]), *bwd.zero_state(2), bwd.fused_gates())
+        h_f, _ = fwd.step(Tensor(x[0]), *fwd.zero_state(2))
+        h_b, _ = bwd.step(Tensor(x[0]), *bwd.zero_state(2))
         np.testing.assert_allclose(out.data[0], np.concatenate([h_f.data, h_b.data], axis=1),
                                    atol=1e-14)
 
@@ -292,4 +308,4 @@ class TestEmbeddingTable:
 def test_named_parameters_unique_and_complete():
     cell = LSTMCell(3, 4, rng_for(3))
     names = [name for name, _ in cell.named_parameters()]
-    assert len(names) == len(set(names)) == 8
+    assert len(names) == len(set(names)) == 2

@@ -156,12 +156,16 @@ class TestDecoderLoss:
 
     @staticmethod
     def per_step_oracle(model, s, input_ids, target_ids):
-        """Mean token cross-entropy in numpy, one decoder step at a time, per-gate weights."""
+        """Mean token cross-entropy in numpy, one decoder step and one gate at a time."""
+        hid = model.dec.hidden_dim
+
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
 
         def pre(gate, cat):
-            return cat @ model.dec.weights[gate].data.T + model.dec.biases[gate].data
+            k = model.dec.GATES.index(gate)  # gate k is columns k*hid:(k+1)*hid
+            cols = slice(k * hid, (k + 1) * hid)
+            return cat @ model.dec.weight.data[:, cols] + model.dec.bias.data[cols]
 
         h, c = s.copy(), np.zeros_like(s)
         total = 0.0
@@ -192,28 +196,28 @@ class TestDecoderLoss:
         input_ids = rng.integers(0, len(vocab), size=(4, 2))
         target_ids = rng.integers(0, len(vocab), size=(4, 2))
         s = Tensor(rng.normal(size=(2, model.sentence_dim)))
-        weight = model.dec.weights["forget"]
+        weight, hid = model.dec.weight, model.dec.hidden_dim
+        before, after = Tensor(weight.data[:, :hid]), Tensor(weight.data[:, 2 * hid:])
 
-        def f(w):
-            model.dec.weights["forget"] = w
+        def f(w):  # w is the forget gate, columns hid:2*hid
+            model.dec.weight = ad.concat([before, w, after], axis=1)
             return decoder_loss(model, s, input_ids, target_ids)
 
         try:
-            assert gradient_check(f, weight) <= 1e-6
+            assert gradient_check(f, Tensor(weight.data[:, hid:2 * hid])) <= 1e-6
         finally:
-            model.dec.weights["forget"] = weight
+            model.dec.weight = weight
 
 
-def test_named_parameters_keep_the_per_gate_checkpoint_layout():
+def test_named_parameters_match_the_checkpoint_layout():
     vocab = Vocabulary.from_corpus(CORPUS)
     model = make_model(vocab)
     v = len(vocab)
     want = [("embed.table", (v, 100))]
     for cell, hidden in (("enc_fwd", 50), ("enc_bwd", 50), ("dec", 100)):
-        for gate in ("input", "forget", "output", "candidate"):
-            want += [(f"{cell}.{gate}.weight", (hidden, 100 + hidden)), (f"{cell}.{gate}.bias", (hidden,))]
+        want += [(f"{cell}.weight", (100 + hidden, 4 * hidden)), (f"{cell}.bias", (4 * hidden,))]
     want += [("out.weight", (v, 100)), ("out.bias", (v,))]
-    assert len(want) == 27
+    assert len(want) == 9
     assert [(name, p.shape) for name, p in model.named_parameters()] == want
 
 
