@@ -103,8 +103,8 @@ class Tensor:
     def _settle(self):
         # one GEMM over every recorded matmul: sum_t a_t.T @ g_t = A.T @ G
         pairs, self._matmul_pairs = self._matmul_pairs, None
-        a = np.concatenate([a for a, _ in pairs])
-        g = np.concatenate([g for _, g in pairs])
+        # a lone pair, as in every DenseLayer, needs no concatenated copies
+        a, g = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
         dw = a.T @ g  # fresh array: no defensive copy
         if self.grad is None:
             self.grad = dw
@@ -214,7 +214,8 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _unary(a, s, lambda: s * (1.0 - s))
 
 

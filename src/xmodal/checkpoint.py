@@ -8,22 +8,20 @@ payload; finally CRC32 of every preceding byte.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, write_atomic
 
 MAGIC = b"CKPT"
 VERSION = 1
 
 
 def save_checkpoint(path, named_arrays) -> None:
-    """Write (name, array) pairs; temp file plus rename keeps the write atomic."""
-    path = Path(path)
+    """Write (name, array) pairs atomically."""
     names = [name for name, _ in named_arrays]
     if len(set(names)) != len(names):
         raise FormatError("checkpoint tensor names must be unique")
@@ -38,14 +36,7 @@ def save_checkpoint(path, named_arrays) -> None:
         chunks.append(arr.astype("<f8").tobytes())
     blob = b"".join(chunks)
     blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(blob)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

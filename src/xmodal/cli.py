@@ -200,8 +200,6 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
                                     rng, max_len=cfg["text_ae.max_len"])
             train_text_autoencoder(records, vocab, model, cfg["text_ae.epochs"],
                                    cfg["text_ae.batch"], cfg["text_ae.lr"], rng, log=log)
-            ws.checkpoints.mkdir(parents=True, exist_ok=True)
-            vocab.save(ws.checkpoints / "vocab.txt")
             return model
     else:
         img_model = load_image_model(ws, cfg)
@@ -217,31 +215,29 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
         def train(log):
             return trainer(source, target, mcfg, rng, log=log)
 
-    # The rows go to a .part file that replaces the CSV only when a checkpoint
-    # is written, so a run that fails or is killed in training keeps the
-    # previous run's CSV next to the previous run's checkpoint.
-    metrics_path = ws.metrics / (stage.replace("-", "_") + ".csv")
-    part_path = metrics_path.with_name(metrics_path.name + ".part")
-    part_path.unlink(missing_ok=True)
-    report = MetricReport(part_path, comments=config_lines(cfg) + [f"seed={seed}"])
+    # Training writes nothing. Then the stage publishes its vocabulary
+    # (text-ae), checkpoint and metric CSV, in that order: on success, or on
+    # divergence with a last finite-loss snapshot. A run that stops before
+    # that, or is killed, leaves the previous run's files as they were.
+    report = MetricReport(ws.metrics / (stage.replace("-", "_") + ".csv"),
+                          comments=config_lines(cfg) + [f"seed={seed}"])
 
     def log(row: dict):
         report.append(row["metric"], row["value"], dataset_id, ckpt_name, seed)
 
-    saved = False
+    def publish(save):
+        if stage == "text-ae":
+            vocab.save(ws.checkpoints / "vocab.txt")
+        save()
+        report.save()
+
     try:
-        save_module(train(log), ckpt_path)
-        saved = True
+        model = train(log)
     except DivergenceError as e:
         if e.last_good is not None:
-            save_checkpoint(ckpt_path, e.last_good)
-            saved = True
+            publish(lambda: save_checkpoint(ckpt_path, e.last_good))
         raise
-    finally:
-        if saved:
-            os.replace(part_path, metrics_path)
-        else:
-            part_path.unlink(missing_ok=True)
+    publish(lambda: save_module(model, ckpt_path))
     print(f"stage {stage}: checkpoint {ckpt_path}")
     return 0
 
@@ -302,7 +298,10 @@ def cmd_evaluate(ws: Workspace, cfg: dict, seed: int, split: str) -> int:
     img_model = load_image_model(ws, cfg)
     txt_model, vocab = load_text_model(ws, cfg)
     mappers = {"i2t": load_mapper(ws, cfg, "mapper-i2t"), "t2i": load_mapper(ws, cfg, "mapper-t2i")}
-    dataset_id = _dataset_id(ws, cfg)
+    dataset_ref = f"{_dataset_id(ws, cfg)}/{split}"
+    # saved last, so a failed or killed evaluate leaves the previous report whole
+    report = MetricReport(ws.reports / f"eval_{split}.csv",
+                          comments=config_lines(cfg) + [f"seed={seed}"])
 
     split_sets = {}
     full_sets = {"img": [], "txt": []}
@@ -317,10 +316,6 @@ def cmd_evaluate(ws: Workspace, cfg: dict, seed: int, split: str) -> int:
                                  np.concatenate([s.labels for s in sets]))
         for mod, sets in full_sets.items()
     }
-
-    report = MetricReport(ws.reports / f"eval_{split}.csv",
-                          comments=config_lines(cfg) + [f"seed={seed}"])
-    dataset_ref = f"{dataset_id}/{split}"
 
     rows = _text_overlap_rows(txt_model, vocab, _captions(ws, cfg, split),
                               split_sets["txt"].embeddings)
@@ -343,6 +338,7 @@ def cmd_evaluate(ws: Workspace, cfg: dict, seed: int, split: str) -> int:
         report.append(f"mmd2_biased_{direction}", biased, dataset_ref, ckpt, seed)
         report.append(f"pvalue_{direction}", p_value, dataset_ref, ckpt, seed)
         print(f"{direction}: class_acc={acc:.2f}% mmd2={stat:.6f} p={p_value:.4f}")
+    report.save()
     print(f"report: {report.path}")
     return 0
 

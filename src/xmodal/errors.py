@@ -1,5 +1,7 @@
-"""Exceptions shared across modules (mapped to CLI exit codes in cli.py) and a UTF-8 reader."""
+"""Exceptions shared across modules (mapped to CLI exit codes in cli.py), a UTF-8
+reader and the atomic writer every durable output goes through."""
 
+import os
 from pathlib import Path
 
 
@@ -33,3 +35,15 @@ def read_utf8(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text at byte offset {e.start}") from None
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace `path` with `data`; a reader sees the old bytes or the new, never a part."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)

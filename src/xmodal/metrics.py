@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import ShapeError, Tensor
 from .data import LabeledEmbeddingSet
-from .errors import FormatError
+from .errors import FormatError, write_atomic
 from .mappers import KernelSpec
 
 logger = logging.getLogger(__name__)
@@ -158,26 +158,23 @@ def two_sample_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, permutatio
 
 
 class MetricReport:
-    """Append-only CSV of named scalar metrics with provenance.
+    """CSV of named scalar metrics with provenance, kept in memory until `save`.
 
-    New files start with '#'-prefixed comment lines (resolved config, seed)
-    and the column header; appends never rewrite existing rows.
+    The file holds '#'-prefixed comment lines (resolved config, seed), the
+    column header and the rows; `save` replaces any earlier file whole.
     """
 
     HEADER = "metric,value,dataset,checkpoint,seed"
 
     def __init__(self, path, comments: list[str] | None = None):
         self.path = Path(path)
-        if not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "w", encoding="utf-8", newline="\n") as f:
-                for line in comments or []:
-                    f.write(f"# {line}\n")
-                f.write(self.HEADER + "\n")
+        self._lines = [f"# {line}\n" for line in comments or []] + [self.HEADER + "\n"]
 
     def append(self, metric: str, value: float, dataset: str, checkpoint: str, seed: int):
         value = float(value)
         if not np.isfinite(value):
             raise FormatError(f"metric {metric!r} is not finite: {value}")
-        with open(self.path, "a", encoding="utf-8", newline="\n") as f:
-            f.write(f"{metric},{value!r},{dataset},{checkpoint},{seed}\n")
+        self._lines.append(f"{metric},{value!r},{dataset},{checkpoint},{seed}\n")
+
+    def save(self) -> None:
+        write_atomic(self.path, "".join(self._lines).encode("utf-8"))

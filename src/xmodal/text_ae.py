@@ -9,13 +9,12 @@ sequence. Trained with teacher forcing and token cross-entropy.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .errors import FormatError, read_utf8
+from .errors import FormatError, read_utf8, write_atomic
 from .layers import DenseLayer, EmbeddingTable, LSTMCell, Module, bilstm_encode, max_over_time
 from .optim import Adam, TrainingRun
 
@@ -55,7 +54,7 @@ class Vocabulary:
         return [self._id_to_token[int(i)] for i in ids]
 
     def save(self, path):
-        Path(path).write_text("".join(t + "\n" for t in self._id_to_token), encoding="utf-8")
+        write_atomic(path, "".join(t + "\n" for t in self._id_to_token).encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

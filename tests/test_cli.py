@@ -294,11 +294,35 @@ def test_divergence_keeps_last_good_checkpoint(workdir, case):
         module = MapperGenerator(*dims, resolved["mapper.hidden"], rng)
     assert list(arrays) == [name for name, _ in module.named_parameters()]
     load_into(module, ckpt)  # shapes match too
+    if stage == "text-ae":  # so does the vocabulary the diverged run built
+        saved = Vocabulary.load(ws / "checkpoints" / "vocab.txt")
+        assert saved.decode(range(len(saved))) == vocab.decode(range(len(vocab)))
     # the metric CSV of the diverged run sits next to its checkpoint
     csv = ws / "metrics" / (stage.replace("-", "_") + ".csv")
     comments = [ln[2:] for ln in csv.read_text().splitlines() if ln.startswith("# ")]
     assert comments[:-1] == config_lines(resolved)
-    assert not csv.with_name(csv.name + ".part").exists()
+    assert all(p.suffix == ".csv" for p in csv.parent.iterdir())  # no stray file
+
+
+def test_evaluate_replaces_report_with_its_own_provenance(workdir):
+    ws, cfg = workdir
+    train_stages(cfg, TRAIN_STAGES)
+    assert main(["evaluate", "--split", "test", "--config", cfg]) == 0
+    second = ws / "second.cfg"
+    second.write_text(TINY + "eval.permutations = 30\n")
+    assert main(["evaluate", "--split", "test", "--config", str(second), "--seed", "7"]) == 0
+    report = ws / "reports" / "eval_test.csv"
+    lines = report.read_text().splitlines()
+    assert [ln[2:] for ln in lines if ln.startswith("# ")] == (
+        config_lines(resolve_config(str(second))) + ["seed=7"])
+    rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")][1:]
+    assert len(rows) == 12 and all(row[-1] == "7" for row in rows)
+    before = report.read_bytes()
+    short = ws / "short.cfg"
+    short.write_text(TINY + "text_ae.max_len = 3\n")  # fails once every model is loaded
+    assert main(["evaluate", "--split", "test", "--config", str(short)]) == 3
+    assert report.read_bytes() == before
+    assert list(report.parent.iterdir()) == [report]
 
 
 class TestDatagen:

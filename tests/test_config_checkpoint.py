@@ -1,6 +1,7 @@
-"""Config parsing and binary checkpoint format."""
+"""Config parsing, binary checkpoint format and the atomic writes of every output."""
 
 import dataclasses
+import os
 import re
 import struct
 import zlib
@@ -14,6 +15,8 @@ from xmodal.errors import ConfigError, FormatError
 from xmodal.image_ae import ImageAEConfig
 from xmodal.layers import DenseLayer
 from xmodal.mappers import MapperConfig
+from xmodal.metrics import MetricReport
+from xmodal.text_ae import Vocabulary
 
 
 class TestConfig:
@@ -97,6 +100,20 @@ class TestConfig:
         assert cls(**values) == cls()
 
 
+def _save_report(path, k):
+    report = MetricReport(path, comments=[f"run={k}"])
+    report.append("m", k, "d", "c", k)
+    report.save()
+
+
+# every durable output's writer -> (file name, save of version k of the file)
+WRITERS = {
+    "checkpoint": ("m.ckpt", lambda path, k: save_checkpoint(path, [("w", np.full(3, k))])),
+    "metric-report": ("r.csv", _save_report),
+    "vocabulary": ("vocab.txt", lambda path, k: Vocabulary([f"word{k}"]).save(path)),
+}
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -157,27 +174,27 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="shape"):
             load_into(Named(), path)
 
-    def test_no_temp_file_after_save(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, [("w", np.ones(3))])
-        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_no_temp_file_after_save(self, tmp_path, writer):
+        name, save = WRITERS[writer]
+        save(tmp_path / "out" / name, 0)  # the parent directory is made too
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
 
-    def test_interrupted_write_preserves_previous(self, tmp_path, monkeypatch):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, [("w", np.zeros(3))])
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_interrupted_write_preserves_previous(self, tmp_path, monkeypatch, writer):
+        name, save = WRITERS[writer]
+        path = tmp_path / name
+        save(path, 0)
         original = path.read_bytes()
 
-        import os
         def explode(src, dst):
             raise OSError("simulated crash before rename")
 
         monkeypatch.setattr(os, "replace", explode)
         with pytest.raises(OSError):
-            save_checkpoint(path, [("w", np.ones(3))])
+            save(path, 1)
         monkeypatch.undo()
         assert path.read_bytes() == original
-        loaded = load_checkpoint(path)
-        assert np.array_equal(loaded["w"], np.zeros(3))
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"

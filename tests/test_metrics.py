@@ -228,19 +228,25 @@ class TestMetricReport:
         report = MetricReport(path, comments=["alpha=1", "seed=3"])
         report.append("metric_a", 1.5, "ds/train", "m.ckpt", 3)
         report.append("metric_b", -0.25, "ds/test", "m.ckpt", 3)
+        assert not path.exists()  # nothing reaches disk before save
+        report.save()
         rows = read_metric_rows(path)
         assert rows[0] == {"metric": "metric_a", "value": 1.5, "dataset": "ds/train",
                            "checkpoint": "m.ckpt", "seed": 3}
         text = path.read_text()
         assert text.startswith("# alpha=1\n# seed=3\n" + MetricReport.HEADER)
 
-    def test_append_only(self, tmp_path):
-        path = tmp_path / "report.csv"
-        MetricReport(path).append("m", 1.0, "d", "c", 0)
-        before = path.read_text()
-        MetricReport(path).append("m2", 2.0, "d", "c", 0)
-        after = path.read_text()
-        assert after.startswith(before)
+    def test_second_report_replaces_first_whole(self, tmp_path):
+        def save(path, run):
+            report = MetricReport(path, comments=[f"run={run}"])
+            report.append(f"m{run}", float(run), "d", "c", run)
+            report.save()
+            return path.read_text()
+
+        save(tmp_path / "report.csv", 1)
+        second = save(tmp_path / "report.csv", 2)
+        assert second == save(tmp_path / "fresh.csv", 2)
+        assert "run=1" not in second and "m1," not in second
 
     def test_non_finite_rejected(self, tmp_path):
         report = MetricReport(tmp_path / "r.csv")
@@ -250,5 +256,7 @@ class TestMetricReport:
     def test_float_roundtrip_exact(self, tmp_path):
         path = tmp_path / "r.csv"
         value = 0.1234567890123456789
-        MetricReport(path).append("m", value, "d", "c", 0)
+        report = MetricReport(path)
+        report.append("m", value, "d", "c", 0)
+        report.save()
         assert read_metric_rows(path)[0]["value"] == float(value)
