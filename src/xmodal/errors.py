@@ -38,12 +38,19 @@ def read_utf8(path) -> str:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Replace `path` with `data`; a reader sees the old bytes or the new, never a part."""
+    """Replace `path` with `data`; a reader sees the old bytes or the new, never a part.
+
+    A write that fails removes its `<name>.tmp` before the error propagates.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

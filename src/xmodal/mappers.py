@@ -53,34 +53,39 @@ def _as_batch(x) -> Tensor:
     return t
 
 
-def mmd2_biased(x, y, kernel: KernelSpec) -> Tensor:
-    """V-statistic estimator of squared MMD; symmetric and never negative."""
+def mmd2_weights(n: int, m: int, unbiased: bool) -> np.ndarray:
+    """W with MMD^2 = sum(W * K) for K the Gram matrix of the pooled rows [x; y]
+    of x (n rows) and y (m rows): -1/(nm) across the sets; within a set 1/n^2
+    (V-statistic), or 1/(n(n-1)) off the diagonal and 0 on it (U-statistic)."""
+    skip = int(unbiased)  # diagonal entries per row left out of a within-set mean
+    if min(n, m) <= skip:
+        raise ShapeError(f"mmd2 needs batches of at least {skip + 1}")
+    w = np.full((n + m, n + m), -1.0 / (n * m))
+    w[:n, :n] = 1.0 / (n * (n - skip))
+    w[n:, n:] = 1.0 / (m * (m - skip))
+    if unbiased:
+        np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _mmd2(x, y, kernel: KernelSpec, unbiased: bool) -> Tensor:
     x, y = _as_batch(x), _as_batch(y)
     if x.shape[1] != y.shape[1]:
         raise ShapeError(f"mmd2: dimension mismatch {x.shape} vs {y.shape}")
-    raw = ad.sub(ad.add(ad.reduce("mean", kernel.gram(x, x)),
-                        ad.reduce("mean", kernel.gram(y, y))),
-                 ad.scale(ad.reduce("mean", kernel.gram(x, y)), 2.0))
+    w = mmd2_weights(x.shape[0], y.shape[0], unbiased)
+    z = ad.concat([x, y])
+    return ad.reduce("sum", ad.mul(kernel.gram(z, z), Tensor(w)))
+
+
+def mmd2_biased(x, y, kernel: KernelSpec) -> Tensor:
+    """V-statistic estimator of squared MMD; symmetric and never negative."""
     # mathematically >= 0; relu only absorbs float round-off near zero
-    return ad.relu(raw)
-
-
-def _offdiag_mean(gram: Tensor) -> Tensor:
-    n = gram.shape[0]
-    if n < 2:
-        raise ShapeError("unbiased mmd2 needs batches of at least 2")
-    mask = Tensor(1.0 - np.eye(n))
-    return ad.scale(ad.reduce("sum", ad.mul(gram, mask)), 1.0 / (n * (n - 1)))
+    return ad.relu(_mmd2(x, y, kernel, unbiased=False))
 
 
 def mmd2_unbiased(x, y, kernel: KernelSpec) -> Tensor:
     """U-statistic estimator: within-set means skip the diagonal; may be negative."""
-    x, y = _as_batch(x), _as_batch(y)
-    if x.shape[1] != y.shape[1]:
-        raise ShapeError(f"mmd2: dimension mismatch {x.shape} vs {y.shape}")
-    return ad.sub(ad.add(_offdiag_mean(kernel.gram(x, x)),
-                         _offdiag_mean(kernel.gram(y, y))),
-                  ad.scale(ad.reduce("mean", kernel.gram(x, y)), 2.0))
+    return _mmd2(x, y, kernel, unbiased=True)
 
 
 def median_heuristic(x: np.ndarray, y: np.ndarray) -> float:
@@ -168,6 +173,8 @@ def map_embedding(gen: MapperGenerator, e: np.ndarray) -> np.ndarray:
         raise ShapeError(f"mapper expects dimension {gen.source_dim}, got {batch.shape[1]}")
     with ad.no_grad():
         out = gen(Tensor(batch)).data.copy()
+    if not np.isfinite(out).all():
+        raise DivergenceError("the mapper maps to non-finite values; retrain it")
     return out[0] if single else out
 
 
@@ -252,7 +259,7 @@ def train_mmd_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
 
     with ad.no_grad():
         probe_t = _strided_sample(target, 128)
-        probe_s = map_embedding(gen, _strided_sample(source, 128))
+        probe_s = gen(Tensor(_strided_sample(source, 128))).data
         fx = features(Tensor(probe_t)).data
         fy = features(Tensor(probe_s)).data
     sigma0 = median_heuristic(fx, fy)

@@ -1,7 +1,8 @@
 """Evaluation protocol: cosine class accuracy, BLEU, ROUGE-L, permutation test.
 
-All metrics are pure functions. The kernel two-sample test reuses a pooled
-Gram matrix across permutations, so only index bookkeeping varies per draw.
+All metrics are pure functions. The kernel two-sample test weighs one pooled
+Gram matrix with the mapper losses' MMD^2 weights; each permutation only
+reorders its rows and columns.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .autodiff import ShapeError, Tensor
 from .data import LabeledEmbeddingSet
 from .errors import FormatError, write_atomic
-from .mappers import KernelSpec
+from .mappers import KernelSpec, mmd2_weights
 
 logger = logging.getLogger(__name__)
 
@@ -119,16 +120,6 @@ def rouge_l(candidate: list, reference: list) -> float:
 # -- kernel two-sample test ---------------------------------------------------
 
 
-def _mmd2_unbiased_gram(k: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
-    kxx = k[np.ix_(ix, ix)]
-    kyy = k[np.ix_(iy, iy)]
-    kxy = k[np.ix_(ix, iy)]
-    n, m = len(ix), len(iy)
-    within_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
-    within_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
-    return float(within_x + within_y - 2.0 * kxy.mean())
-
-
 def two_sample_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, permutations: int,
                     rng: np.random.Generator) -> tuple[float, float]:
     """Permutation test with the unbiased MMD^2 statistic.
@@ -140,16 +131,14 @@ def two_sample_test(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, permutatio
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ShapeError(f"two_sample_test: incompatible shapes {x.shape} and {y.shape}")
     n, m = x.shape[0], y.shape[0]
-    if n < 2 or m < 2:
-        raise ShapeError("two_sample_test needs at least 2 samples per batch")
-    pooled = np.concatenate([x, y])
-    gram = kernel.gram(Tensor(pooled), Tensor(pooled)).data
-    observed = _mmd2_unbiased_gram(gram, np.arange(n), np.arange(n, n + m))
+    w = mmd2_weights(n, m, unbiased=True)
+    pooled = Tensor(np.concatenate([x, y]))
+    gram = kernel.gram(pooled, pooled).data
+    observed = float(np.vdot(gram, w))
     exceed = 0
     for _ in range(permutations):
         perm = rng.permutation(n + m)
-        stat = _mmd2_unbiased_gram(gram, perm[:n], perm[n:])
-        if stat >= observed:
+        if np.vdot(gram.take(perm, 0).take(perm, 1), w) >= observed:
             exceed += 1
     return observed, (exceed + 1) / (permutations + 1)
 

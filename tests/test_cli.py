@@ -325,6 +325,19 @@ def test_evaluate_replaces_report_with_its_own_provenance(workdir):
     assert list(report.parent.iterdir()) == [report]
 
 
+def test_mapper_with_non_finite_output_exits_5(workdir):
+    ws, cfg = workdir
+    train_stages(cfg, TRAIN_STAGES)
+    ckpt = ws / "checkpoints" / "mapper_i2t.ckpt"
+    save_checkpoint(ckpt, [(name, a * 1e150) for name, a in load_checkpoint(ckpt).items()])
+    assert main(["evaluate", "--split", "test", "--config", cfg]) == 5
+    assert not (ws / "reports" / "eval_test.csv").exists()
+    image = sorted((ws / "dataset" / "test" / "images").iterdir())[0]
+    assert main(["translate", "--direction", "image-to-text", "--input", str(image),
+                 "--config", cfg]) == 5
+    assert not (ws / "translations" / "i2t.txt").exists()
+
+
 class TestDatagen:
     def test_deterministic_bytes(self, workdir, tmp_path, monkeypatch):
         ws, cfg = workdir

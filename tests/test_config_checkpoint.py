@@ -195,6 +195,7 @@ class TestCheckpoint:
             save(path, 1)
         monkeypatch.undo()
         assert path.read_bytes() == original
+        assert [p.name for p in tmp_path.iterdir()] == [name]  # the temp file is gone
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -158,6 +158,22 @@ class TestMMDEstimators:
         assert gradient_check(f_biased, Tensor(y)) <= 1e-6
         assert gradient_check(f_unbiased, Tensor(y)) <= 1e-6
 
+    def test_one_gram_per_estimate(self, monkeypatch):
+        calls = []
+        gram = KernelSpec.gram
+
+        def counting_gram(kernel, a, b):
+            calls.append((a.shape, b.shape))
+            return gram(kernel, a, b)
+
+        monkeypatch.setattr(KernelSpec, "gram", counting_gram)
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
+        for estimate in (mmd2_biased, mmd2_unbiased):
+            calls.clear()
+            estimate(x, y, KernelSpec((1.0, 2.0)))
+            assert calls == [((10, 3), (10, 3))]  # the pooled rows against themselves
+
     def test_unbiased_needs_two_samples(self):
         with pytest.raises(ShapeError):
             mmd2_unbiased(np.ones((1, 2)), np.ones((4, 2)), KernelSpec((1.0,)))
@@ -165,6 +181,10 @@ class TestMMDEstimators:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             mmd2_biased(np.ones((3, 2)), np.ones((3, 4)), KernelSpec((1.0,)))
+
+    def test_biased_needs_a_row_per_batch(self):
+        with pytest.raises(ShapeError):
+            mmd2_biased(np.ones((0, 2)), np.ones((3, 2)), KernelSpec((1.0,)))
 
 
 class TestMedianHeuristic:
