@@ -217,7 +217,7 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
 
     # Training writes nothing. Then the stage publishes its vocabulary
     # (text-ae), checkpoint and metric CSV, in that order: on success, or on
-    # divergence with a last finite-loss snapshot. A run that stops before
+    # divergence with its last finite-loss parameters. A run that stops before
     # that, or is killed, leaves the previous run's files as they were.
     report = MetricReport(ws.metrics / (stage.replace("-", "_") + ".csv"),
                           comments=config_lines(cfg) + [f"seed={seed}"])

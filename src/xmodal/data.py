@@ -202,8 +202,8 @@ def _class_rows(path):
             class_id = int(class_field)
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: non-integer class id {class_field!r}") from None
-        if class_id < 0:
-            raise FormatError(f"{path}: line {lineno}: negative class id {class_id}")
+        if not 0 <= class_id < 2**32:  # labels are stored as uint32
+            raise FormatError(f"{path}: line {lineno}: class id {class_id} outside [0, 2^32)")
         yield class_id, rest
 
 
@@ -334,4 +334,8 @@ def load_image_split(dataset_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_caption_split(dataset_dir, split: str) -> list[tuple[int, list[str]]]:
-    return load_caption_corpus(Path(dataset_dir) / split / "captions.tsv")
+    path = Path(dataset_dir) / split / "captions.tsv"
+    records = load_caption_corpus(path)
+    if not records:
+        raise FormatError(f"{path}: empty split")
+    return records

@@ -20,8 +20,8 @@ class MissingDependencyError(RuntimeError):
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss (exit code 5).
 
-    `last_good` holds the (name, array) pairs of the last finite-loss
-    parameters, or None when no snapshot applies.
+    `last_good` holds the (name, array) pairs of the parameters at which the
+    stage last computed a finite loss, or None when none are attached.
     """
 
     def __init__(self, message: str, last_good=None):

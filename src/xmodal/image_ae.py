@@ -322,7 +322,7 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
     disc_opts = [Adam(d.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2)) for d in discs]
     disc_params = [p for d in discs for p in d.parameters()]
 
-    run = TrainingRun(model.named_parameters(), log)
+    run = TrainingRun(model.named_parameters(), gen_opt, log)
     try:
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_total)
@@ -359,8 +359,7 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
                 run.emit("kl", kl.item())
                 run.emit("l1_rec", rec.item())
                 run.emit("g_total", g_total)
-                run.snapshot()
-    except DivergenceError as e:  # non-finite conditioning moments carry no snapshot
+    except DivergenceError as e:  # non-finite conditioning moments carry no parameters
         if e.last_good is None:
             e.last_good = run.last_good
         raise

@@ -212,7 +212,7 @@ def train_gan_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
     disc = MapperDiscriminator(target.shape[1], cfg.hidden, rng)
     g_opt = Adam(gen.parameters(), lr=cfg.lr)
     d_opt = Adam(disc.parameters(), lr=cfg.lr)
-    run = TrainingRun(gen.named_parameters(), log)
+    run = TrainingRun(gen.named_parameters(), g_opt, log)
     one = Tensor(1.0)
     for step in range(cfg.steps):
         xb = Tensor(_sample(target, cfg.batch, rng))
@@ -225,7 +225,6 @@ def train_gan_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
         fake = gen(Tensor(_sample(source, cfg.batch, rng)))
         g_loss = ad.neg(ad.reduce("mean", ad.log(disc(fake))))
         g_value = run.minimize(g_opt, g_loss, f"gan mapper generator loss at step {step}")
-        run.snapshot()
         run.emit("d_loss", d_value)
         run.emit("g_loss", g_value)
     return gen
@@ -252,7 +251,7 @@ def train_mmd_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
         if cfg.kernel_learning else None
     g_opt = Adam(gen.parameters(), lr=cfg.lr)
     c_opt = Adam(critic.parameters(), lr=cfg.lr) if critic else None
-    run = TrainingRun(gen.named_parameters(), log)
+    run = TrainingRun(gen.named_parameters(), g_opt, log)
 
     def features(x: Tensor) -> Tensor:
         return critic.encode(x) if critic else x
@@ -287,6 +286,5 @@ def train_mmd_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
         fake = gen(Tensor(_sample(source, cfg.batch, rng)))
         loss = mmd2_unbiased(features(xb), features(fake), kernel)
         value = run.minimize(g_opt, loss, f"mmd mapper loss at step {step}")
-        run.snapshot()
         run.emit("mmd2", value)
     return gen

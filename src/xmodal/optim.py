@@ -25,6 +25,9 @@ class Adam:
             p.grad = None
 
     def step(self):
+        # Each update replaces p.data and never writes the old array, which
+        # TrainingRun.last_good may hold; so nothing writes a run parameter's array
+        # in place in training (load_into runs before it, MMDCritic.clamp on the critic).
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
@@ -34,7 +37,7 @@ class Adam:
             if g is None:
                 continue
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-            # p -= lr (m / bias1) / (sqrt(v / bias2) + eps), in place in two
+            # p - lr (m / bias1) / (sqrt(v / bias2) + eps), in place in two
             # scratch arrays and in the order written, so bit for bit the same
             upd = np.multiply(g, 1.0 - b1, out=np.empty_like(m))
             m *= b1
@@ -49,38 +52,38 @@ class Adam:
             np.sqrt(den, out=den)
             den += self.eps
             upd /= den
-            p.data -= upd
+            p.data = np.subtract(p.data, upd, out=upd)
 
 
 class TrainingRun:
     """Metric rows, last good parameters and checked update steps of one training run.
 
     `named_params` are the (name, tensor) pairs a divergence checkpoint holds.
-    `snapshot()` copies them; construction takes the first copy. Each emitted
-    row goes to `log`, when given.
+    `last_good` references their arrays at the last finite loss of `opt`, the
+    run's own optimizer (at first, the initial arrays). Rows go to `log`, if given.
     """
 
-    def __init__(self, named_params, log=None):
+    def __init__(self, named_params, opt: Adam, log=None):
         self.named_params = list(named_params)
+        self.opt = opt
         self.log = log
-        self.snapshot()
+        self.last_good = [(name, p.data) for name, p in self.named_params]
 
     def emit(self, name: str, value: float):
         if self.log:
             self.log({"metric": name, "value": value})
 
-    def snapshot(self):
-        self.last_good = [(name, p.data.copy()) for name, p in self.named_params]
-
     def minimize(self, opt: Adam, loss: Tensor, what: str) -> float:
         """One descent step of `opt` on `loss`; returns the loss value.
 
-        A non-finite loss raises DivergenceError, carrying the last snapshot,
-        before backward runs or any parameter changes.
+        A non-finite loss raises DivergenceError with `last_good` before any
+        parameter changes; a finite loss of the run's own optimizer moves `last_good`.
         """
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite {what}", self.last_good)
+        if opt is self.opt:
+            self.last_good = [(name, p.data) for name, p in self.named_params]
         opt.zero_grad()
         ad.backward(loss)
         opt.step()

@@ -190,14 +190,14 @@ def train_text_autoencoder(records: list[tuple[int, list[str]]], vocab: Vocabula
                            rng: np.random.Generator, log=None) -> None:
     """Teacher-forced training on a caption corpus; per-epoch metric rows go to `log`.
 
-    Raises DivergenceError (carrying the last finite-loss parameter snapshot)
-    if the loss goes non-finite.
+    A non-finite loss raises DivergenceError, carrying the parameters at which
+    the last finite loss was computed.
     """
     ids = [vocab.encode(tokens) for _, tokens in records if tokens]
     if not ids:
         raise FormatError("text autoencoder: empty corpus")
     opt = Adam(model.parameters(), lr=lr)
-    run = TrainingRun(model.named_parameters(), log)
+    run = TrainingRun(model.named_parameters(), opt, log)
     for epoch in range(epochs):
         batches = _length_batches(ids, batch_size, rng)
         epoch_loss = 0.0
@@ -217,5 +217,4 @@ def train_text_autoencoder(records: list[tuple[int, list[str]]], vocab: Vocabula
             n_tok = len(batch_idx) * (length + 1)
             epoch_loss += value * n_tok
             epoch_tokens += n_tok
-        run.snapshot()
         run.emit("ce_epoch", epoch_loss / epoch_tokens)

@@ -122,13 +122,36 @@ class TestExitCodes:
         index.write_text("x\t" + index.read_text().split("\t", 1)[1])
         assert main(["train", "--stage", "image-ae", "--config", cfg]) == 3
 
-    @pytest.mark.parametrize("name,stage", [("images.tsv", "image-ae"), ("captions.tsv", "text-ae")])
-    def test_negative_class_id_exits_3(self, workdir, name, stage):
+    # labels are stored as uint32: an id below 0 or from 2^32 on would wrap or overflow
+    @pytest.mark.parametrize("name,stage,class_id", [
+        pytest.param("images.tsv", "image-ae", -1, id="images.tsv-image-ae"),
+        pytest.param("captions.tsv", "text-ae", -1, id="captions.tsv-text-ae"),
+        pytest.param("images.tsv", "image-ae", 2**32, id="images.tsv-image-ae-2**32"),
+        pytest.param("captions.tsv", "text-ae", 2**32, id="captions.tsv-text-ae-2**32"),
+        pytest.param("images.tsv", "image-ae", 10**23, id="images.tsv-image-ae-10**23"),
+        pytest.param("captions.tsv", "text-ae", 10**23, id="captions.tsv-text-ae-10**23"),
+    ])
+    def test_negative_class_id_exits_3(self, workdir, name, stage, class_id):
         ws, cfg = workdir
         assert main(["datagen", "--config", cfg]) == 0
         index = ws / "dataset" / "train" / name
-        index.write_text("-1\t" + index.read_text().split("\t", 1)[1])
+        index.write_text(f"{class_id}\t" + index.read_text().split("\t", 1)[1])
         assert main(["train", "--stage", stage, "--config", cfg]) == 3
+
+    def test_empty_caption_split_exits_3(self, workdir):
+        ws, cfg = workdir
+        train_stages(cfg, TRAIN_STAGES)
+
+        def published():
+            return {k: v for k, v in tree_bytes(ws).items() if k.parts[0] in ("checkpoints", "metrics")}
+
+        before = published()
+        (ws / "dataset" / "test" / "captions.tsv").write_text("")
+        assert main(["evaluate", "--split", "test", "--config", cfg]) == 3
+        assert not (ws / "reports" / "eval_test.csv").exists()
+        (ws / "dataset" / "train" / "captions.tsv").write_text("")
+        assert main(["train", "--stage", "mapper-t2i", "--config", cfg]) == 3
+        assert published() == before
 
     def test_image_batch_over_training_split_exits_2(self, workdir):
         ws, cfg = workdir
@@ -294,6 +317,10 @@ def test_divergence_keeps_last_good_checkpoint(workdir, case):
         module = MapperGenerator(*dims, resolved["mapper.hidden"], rng)
     assert list(arrays) == [name for name, _ in module.named_parameters()]
     load_into(module, ckpt)  # shapes match too
+    if stage.startswith("mapper"):  # the published mapper maps the training embeddings
+        other = "mapper-t2i" if stage == "mapper-i2t" else "mapper-i2t"
+        assert main(["train", "--stage", other, "--config", cfg]) == 0
+        assert main(["evaluate", "--split", "train", "--config", cfg]) == 0
     if stage == "text-ae":  # so does the vocabulary the diverged run built
         saved = Vocabulary.load(ws / "checkpoints" / "vocab.txt")
         assert saved.decode(range(len(saved))) == vocab.decode(range(len(vocab)))

@@ -1,9 +1,12 @@
-"""Adam's arithmetic against the textbook update."""
+"""Adam's arithmetic against the textbook update; the last good parameters of a run."""
 
 import numpy as np
+import pytest
 
+from xmodal import autodiff as ad
 from xmodal.autodiff import Tensor
-from xmodal.optim import Adam
+from xmodal.errors import DivergenceError
+from xmodal.optim import Adam, TrainingRun
 
 
 class TestAdam:
@@ -32,3 +35,32 @@ class TestAdam:
             for p, w in zip(params, want):
                 assert np.array_equal(p.data, w)
         assert np.array_equal(frozen.data, frozen_before)
+
+    def test_step_replaces_the_parameter_array(self):
+        p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        old = p.data
+        p.grad = np.ones((2, 3))
+        Adam([p], lr=0.1).step()
+        assert p.data is not old
+        assert np.array_equal(old, np.arange(6.0).reshape(2, 3))
+
+
+def _square_sum(p: Tensor) -> Tensor:
+    return ad.reduce("sum", ad.mul(p, p))
+
+
+class TestTrainingRun:
+    def test_divergence_carries_parameters_of_last_finite_loss(self):
+        w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        other = Tensor(np.array([0.5]), requires_grad=True)
+        own_opt, other_opt = Adam([w], lr=0.1), Adam([other], lr=0.1)
+        run = TrainingRun([("w", w)], own_opt)
+        run.minimize(own_opt, _square_sum(w), "first loss")
+        before_second = w.data.copy()
+        run.minimize(own_opt, _square_sum(w), "second loss")
+        run.minimize(other_opt, _square_sum(other), "another optimizer's loss")
+        with pytest.raises(DivergenceError, match="non-finite third loss") as exc:
+            run.minimize(own_opt, ad.scale(_square_sum(w), np.inf), "third loss")
+        assert [name for name, _ in exc.value.last_good] == ["w"]
+        assert np.array_equal(exc.value.last_good[0][1], before_second)
+        assert not np.array_equal(w.data, before_second)
