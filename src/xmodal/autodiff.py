@@ -1,20 +1,21 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Every operation records a node on an implicit computation graph (child ->
-parent links plus a backward closure). `backward` consumes the graph: a
+parent links plus a backward closure). `backward` consumes the graph as it
+goes: each interior node drops its links, closure and gradient as soon as its
+rule has run, a failed pass leaves nothing partial in interior nodes, and a
 second traversal through any consumed node raises. A matmul's backward does
 not form its right operand's gradient on the spot: it records the pair
 (left operand, output gradient) on that operand, and `backward` settles all
 of a node's pairs with one GEMM when the node's own turn comes, so a weight
 used at every step of a sequence gets one product per sequence, not one per
-step. Broadcasting is
-deliberately restricted to scalar-with-tensor; rank mismatches are errors,
-and structural changes go through explicit ops (reshape, concat, narrow).
+step. Broadcasting is deliberately restricted to scalar-with-tensor; rank
+mismatches are errors, and structural changes go through explicit ops
+(reshape, concat, narrow).
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -33,22 +34,18 @@ class GraphError(RuntimeError):
     """Backward called on a non-scalar loss or an already-consumed graph."""
 
 
-_state = threading.local()
-
-
-def _recording() -> bool:
-    return getattr(_state, "grad_enabled", True)
+_recording = True
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording (inference / finite-difference evaluations)."""
-    prev = _recording()
-    _state.grad_enabled = False
+    global _recording
+    prev, _recording = _recording, False
     try:
         yield
     finally:
-        _state.grad_enabled = prev
+        _recording = prev
 
 
 class Tensor:
@@ -114,7 +111,7 @@ class Tensor:
 
 def _make_node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _recording() and any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         for p in parents:
             if p._consumed:
                 raise GraphError("cannot extend a graph that backward already consumed")
@@ -527,6 +524,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         xp[:, :, padding:-padding, padding:-padding] = xd
     else:
         xp = xd
+    xp_shape = xp.shape  # backward needs only the shape: the padded copy goes with the forward
     cols = _im2col(xp, kh, kw, stride, ho, wo)                 # (N, C*kh*kw, P)
     wmat = kernels.data.reshape(c_out, c_in * kh * kw)
     out_data = (wmat @ cols).reshape(n, c_out, ho, wo)         # (C_out, K) @ (N, K, P)
@@ -539,7 +537,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
             dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)  # sum_n g[n] @ cols[n].T
             kernels._accumulate(dw.reshape(kernels.shape))
         if x.requires_grad:
-            dxp = _col2im(wmat.T @ g, xp.shape, kh, kw, stride, ho, wo)
+            dxp = _col2im(wmat.T @ g, xp_shape, kh, kw, stride, ho, wo)
             if padding:
                 dxp = dxp[:, :, padding:-padding, padding:-padding]
             x._accumulate(dxp[0] if single else dxp)
@@ -621,13 +619,12 @@ def reduce(op_tag: str, x: Tensor, axis: Optional[int] = None) -> Tensor:
 def backward(loss: Tensor):
     """Propagate d(loss)/d(tensor) into .grad of every reachable parameter.
 
-    The traversed graph is consumed: its interior links are dropped and any
-    later backward through the same nodes raises GraphError.
+    The pass consumes the graph as it goes: a node drops its links, closure and
+    gradient once its rule has run, and a later pass through it raises
+    GraphError. A failed pass leaves no gradient in any interior node.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._consumed:
-        raise GraphError("backward already consumed this graph")
 
     topo: list[Tensor] = []
     seen = set()
@@ -649,21 +646,20 @@ def backward(loss: Tensor):
 
     loss._accumulate(np.ones_like(loss.data))
     try:
-        # reverse topological order: every consumer of a node has run before
-        # the node's turn, so its recorded matmul pairs are complete
+        # reverse topological order: every consumer of a node has run and been
+        # released before the node's turn, so its recorded matmul pairs are complete
         for node in reversed(topo):
             if node._matmul_pairs is not None:
                 node._settle()
-            if node._backward_fn is not None:
+            if node._parents:
                 node._backward_fn()
+                node._consumed = True
+                node._parents = ()
+                node._backward_fn = None
+                node.grad = None  # interior grads are scratch; parameters are leaves
     except BaseException:
-        for node in topo:  # pairs left by a failed pass must not reach a later one
+        for node in topo:  # nothing partial of a failed pass may reach a later one
             node._matmul_pairs = None
+            if node._parents:
+                node.grad = None
         raise
-
-    for node in topo:
-        if node._parents:
-            node._consumed = True
-            node._parents = ()
-            node._backward_fn = None
-            node.grad = None  # interior grads are scratch; parameters are leaves

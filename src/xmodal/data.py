@@ -266,6 +266,7 @@ def caption_for(spec: ColorShapesSpec, class_id: int, sample_idx: int) -> str:
 def generate_colorshapes(spec: ColorShapesSpec, out_dir) -> Path:
     """Write the full dataset; a pure function of spec (byte-identical reruns)."""
     root = Path(out_dir)
+    (root / "manifest.txt").unlink(missing_ok=True)  # written last: a killed run reads as missing
     rng = np.random.default_rng(spec.seed)
     split_of = {c: "test" for c in spec.test_classes()}
     rows: dict[str, list[tuple[int, str, str]]] = {"train": [], "test": []}

@@ -222,6 +222,12 @@ class TestConv2d:
             np.testing.assert_allclose(batched[i], ad.conv2d(t(x[i]), t(k), 1, 1).data,
                                        atol=1e-14, rtol=0)
 
+    def test_backward_keeps_no_padded_copy(self):
+        x, k = t(np.ones((2, 3, 6, 6)), grad=True), t(np.ones((4, 3, 3, 3)), grad=True)
+        out = ad.conv2d(x, k, 1, 1)
+        held = [c.cell_contents for c in out._backward_fn.__closure__]
+        assert not any(isinstance(v, np.ndarray) and v.shape == (2, 3, 8, 8) for v in held)
+
     def test_non_integer_output_rejected(self):
         with pytest.raises(ShapeError):
             ad.conv2d(t(np.ones((1, 5, 5))), t(np.ones((1, 1, 2, 2))), stride=2)
@@ -329,6 +335,50 @@ class TestBackward:
         w.grad = None
         backward(ad.reduce("sum", ad.matmul(t(np.ones((1, 2))), w)))
         np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+
+    @staticmethod
+    def _sibling_graph_failing_once():
+        # z = x*x feeds two losses; z's rule raises during backward(l1) only
+        x = t([3.0], grad=True)
+        z = ad.scale(ad.mul(x, x), 1.0)
+        l1, l2 = ad.reduce("sum", z), ad.reduce("sum", ad.scale(z, 2.0))
+        rule, calls = z._backward_fn, []
+
+        def fail_once():
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("backward rule failed")
+            rule()
+
+        z._backward_fn = fail_once
+        with pytest.raises(RuntimeError):
+            backward(l1)
+        return x, l1, l2
+
+    def test_failed_backward_leaves_no_partial_interior_gradient(self):
+        x, _, l2 = self._sibling_graph_failing_once()
+        backward(l2)
+        np.testing.assert_array_equal(x.grad, [12.0])  # d(2x^2)/dx, nothing of l1
+
+    def test_failed_backward_cannot_be_retried(self):
+        _, l1, _ = self._sibling_graph_failing_once()
+        with pytest.raises(GraphError):
+            backward(l1)
+
+    def test_consumer_released_before_its_parents_rule_runs(self):
+        x = t([0.5, -1.0], grad=True)
+        y = ad.tanh(x)
+        z = ad.scale(y, 2.0)
+        rule, seen = y._backward_fn, []
+
+        def watch():
+            seen.append((z.grad is None, z._parents, z._backward_fn is None))
+            rule()
+
+        y._backward_fn = watch
+        backward(ad.reduce("sum", z))
+        assert seen == [(True, (), True)]
+        np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh([0.5, -1.0]) ** 2))
 
 
 class TestGradientCheck:
@@ -480,3 +530,16 @@ def test_no_grad_suppresses_recording():
     with ad.no_grad():
         y = ad.mul(x, x)
     assert y._parents == () and not y.requires_grad
+
+
+def test_no_grad_restores_recording_after_nesting_and_errors():
+    x = t([1.0, 2.0], grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert not ad.mul(x, x).requires_grad  # the inner exit keeps the outer off
+    assert ad.mul(x, x).requires_grad
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("forward failed")
+    assert ad.mul(x, x).requires_grad

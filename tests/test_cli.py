@@ -375,6 +375,22 @@ class TestDatagen:
         assert main(["datagen", "--config", cfg, "--seed", "5"]) == 0
         assert tree_bytes(ws / "dataset") == first
 
+    def test_failed_datagen_leaves_no_manifest(self, workdir, monkeypatch):
+        ws, cfg = workdir
+        assert main(["datagen", "--config", cfg, "--seed", "1"]) == 0
+        written = []
+
+        def write_ten_then_fail(img, path):
+            if len(written) == 10:
+                raise OSError("disk full")
+            written.append(path)
+            write_ppm(img, path)
+
+        monkeypatch.setattr("xmodal.data.write_ppm", write_ten_then_fail)
+        assert main(["datagen", "--config", cfg, "--seed", "2"]) == 3
+        assert not (ws / "dataset" / "manifest.txt").exists()
+        assert main(["train", "--stage", "image-ae", "--config", cfg]) == 4
+
     def test_default_class_counts(self, workdir):
         ws, cfg = workdir
         assert main(["datagen", "--config", cfg]) == 0
