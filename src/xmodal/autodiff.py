@@ -9,9 +9,9 @@ not form its right operand's gradient on the spot: it records the pair
 (left operand, output gradient) on that operand, and `backward` settles all
 of a node's pairs with one GEMM when the node's own turn comes, so a weight
 used at every step of a sequence gets one product per sequence, not one per
-step. Broadcasting is deliberately restricted to scalar-with-tensor; rank
-mismatches are errors, and structural changes go through explicit ops
-(reshape, concat, narrow).
+step. Broadcasting is
+deliberately restricted to scalar-with-tensor; rank mismatches are errors,
+and structural changes go through explicit ops (reshape, concat, narrow).
 """
 
 from __future__ import annotations
