@@ -150,8 +150,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward_fn():
-        a._accumulate(_reduce_to(out.grad, a.shape))
-        b._accumulate(_reduce_to(out.grad, b.shape))
+        if a.requires_grad:
+            a._accumulate(_reduce_to(out.grad, a.shape))
+        if b.requires_grad:
+            b._accumulate(_reduce_to(out.grad, b.shape))
 
     out = _make_node(out_data, (a, b), backward_fn)
     return out
@@ -162,8 +164,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def backward_fn():
-        a._accumulate(_reduce_to(out.grad, a.shape))
-        b._accumulate(_reduce_to(-out.grad, b.shape))
+        if a.requires_grad:
+            a._accumulate(_reduce_to(out.grad, a.shape))
+        if b.requires_grad:
+            b._accumulate(_reduce_to(-out.grad, b.shape))
 
     out = _make_node(out_data, (a, b), backward_fn)
     return out
@@ -174,8 +178,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward_fn():
-        a._accumulate(_reduce_to(out.grad * b.data, a.shape))
-        b._accumulate(_reduce_to(out.grad * a.data, b.shape))
+        if a.requires_grad:
+            a._accumulate(_reduce_to(out.grad * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_reduce_to(out.grad * a.data, b.shape))
 
     out = _make_node(out_data, (a, b), backward_fn)
     return out
@@ -209,10 +215,14 @@ def tanh(a: Tensor) -> Tensor:
     return _unary(a, t, lambda: 1.0 - t * t)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp of a non-positive argument only, so no overflow at either tail
     e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    s = _sigmoid(a.data)
     return _unary(a, s, lambda: s * (1.0 - s))
 
 
@@ -299,6 +309,44 @@ def transpose(a: Tensor) -> Tensor:
         a._accumulate(out.grad.T)
 
     out = _make_node(a.data.T.copy(), (a,), backward_fn)
+    return out
+
+
+def lstm_pointwise(pre: Tensor, c_prev: Tensor) -> Tensor:
+    """The pointwise half of an LSTM step as one node: [h_t | c_t], (batch, 2H).
+
+    `pre` (batch, 4H) holds the gate pre-activations in input, forget, output,
+    candidate order. c_t = f*c_prev + i*g and h_t = o*tanh(c_t), with sigmoid
+    gates i, f, o and the tanh candidate g. Forward and backward form every
+    product in the order the separate sigmoid/tanh/narrow/mul/add rules do.
+    """
+    if (pre.data.ndim != 2 or c_prev.data.ndim != 2 or pre.shape[0] != c_prev.shape[0]
+            or pre.shape[1] != 4 * c_prev.shape[1]):
+        raise ShapeError(f"lstm_pointwise: incompatible shapes {pre.shape} and {c_prev.shape}")
+    hid = c_prev.shape[1]
+    ifo = _sigmoid(pre.data[:, :3 * hid])
+    g = np.tanh(pre.data[:, 3 * hid:])
+    i, f, o = ifo[:, :hid], ifo[:, hid:2 * hid], ifo[:, 2 * hid:]
+    hc = np.empty((pre.shape[0], 2 * hid))
+    c = np.add(f * c_prev.data, i * g, out=hc[:, hid:])
+    tc = np.tanh(c)
+    np.multiply(o, tc, out=hc[:, :hid])
+
+    def backward_fn():
+        gh, gc = out.grad[:, :hid], out.grad[:, hid:]
+        dc = gc + (gh * o) * (1.0 - tc * tc)
+        if pre.requires_grad:
+            d = np.empty_like(pre.data)
+            np.multiply(dc, g, out=d[:, :hid])
+            np.multiply(dc, c_prev.data, out=d[:, hid:2 * hid])
+            np.multiply(gh, tc, out=d[:, 2 * hid:3 * hid])
+            d[:, :3 * hid] *= ifo * (1.0 - ifo)
+            np.multiply(dc * i, 1.0 - g * g, out=d[:, 3 * hid:])
+            pre._accumulate(d)
+        if c_prev.requires_grad:
+            c_prev._accumulate(dc * f)
+
+    out = _make_node(hc, (pre, c_prev), backward_fn)
     return out
 
 

@@ -92,7 +92,9 @@ class LSTMCell(Module):
 
     `weight` is (input+hidden, 4*hidden) and `bias` is (4*hidden,), their
     columns in `GATES` order, so each step runs one matmul over all four
-    gates. Each gate's block is drawn as its own Glorot matrix (fan-out
+    gates. The gate nonlinearities and the state update are one
+    `ad.lstm_pointwise` node, whose [h_t | c_t] the step splits with two
+    narrows. Each gate's block is drawn as its own Glorot matrix (fan-out
     `hidden`); the forget-gate bias starts at +1 so early training keeps
     cell memory.
     """
@@ -118,12 +120,8 @@ class LSTMCell(Module):
                              f"{x_t.shape[0]} x hidden {self.hidden_dim}")
         hid = self.hidden_dim
         pre = ad.add_rowvec(ad.matmul(ad.concat([x_t, h_prev], axis=1), self.weight), self.bias)
-        ifo = ad.sigmoid(ad.narrow(pre, 1, 0, 3 * hid))
-        g = ad.tanh(ad.narrow(pre, 1, 3 * hid, hid))
-        i, f, o = (ad.narrow(ifo, 1, k * hid, hid) for k in range(3))
-        c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-        h_t = ad.mul(o, ad.tanh(c_t))
-        return h_t, c_t
+        hc = ad.lstm_pointwise(pre, c_prev)
+        return ad.narrow(hc, 1, 0, hid), ad.narrow(hc, 1, hid, hid)
 
     def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
         z = np.zeros((batch, self.hidden_dim))

@@ -441,6 +441,9 @@ STRUCTURAL_CASES = {
     "tile_hw": lambda v: ad.tile_hw(v, 3, 2),
     "log_softmax": lambda v: ad.log_softmax(v),
     "add_rowvec": lambda v: ad.add_rowvec(ad.mul(v, v), ad.reshape(ad.narrow(v, 0, 0, 1), (v.shape[1],))),
+    "add_channel_bias": lambda v: ad.add_channel_bias(ad.reshape(ad.mul(v, v), (1, 4, 2, 2)),
+                                                      ad.reshape(ad.narrow(v, 0, 0, 1), (4,))),
+    "absolute": ad.absolute,
     "sigmoid": ad.sigmoid,
     "tanh": ad.tanh,
     "exp": ad.exp,
@@ -460,11 +463,60 @@ def test_every_operation_gradient(name):
     # registered-op invariant: finite-difference error <= 1e-6 on seeded input
     rng = np.random.default_rng(hash(name) % 2 ** 32)
     x = rng.normal(size=(4, 4))
-    if name in ("relu", "leaky_relu"):
+    if name in ("relu", "leaky_relu", "absolute"):
         x = x + np.where(x >= 0, 0.5, -0.5)  # keep clear of the kink
     fn = STRUCTURAL_CASES[name]
     err = gradient_check(lambda v: ad.reduce("sum", ad.mul(fn(v), fn(v))), t(x))
     assert err <= 1e-6, f"{name}: {err}"
+
+
+def test_add_channel_bias_gradient_of_the_bias_alone():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(2, 3, 2, 2)))
+    w = Tensor(rng.normal(size=(2, 3, 2, 2)))
+    err = gradient_check(lambda v: ad.reduce("sum", ad.mul(ad.add_channel_bias(x, v), w)),
+                         t(rng.normal(size=3)))
+    assert err <= 1e-6
+
+
+class TestLSTMPointwise:
+    def test_gradients_of_pre_and_c_prev(self):
+        rng = np.random.default_rng(15)
+        pre, c_prev = rng.normal(size=(2, 12)), rng.normal(size=(2, 3))
+        w = Tensor(rng.normal(size=(2, 6)))  # weighs the h and the c half differently
+
+        def loss(hc):
+            return ad.reduce("sum", ad.mul(hc, w))
+
+        assert gradient_check(lambda v: loss(ad.lstm_pointwise(v, Tensor(c_prev))), t(pre)) <= 1e-6
+        assert gradient_check(lambda v: loss(ad.lstm_pointwise(Tensor(pre), v)), t(c_prev)) <= 1e-6
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.lstm_pointwise(t(np.zeros((2, 12))), t(np.zeros((2, 4))))
+        with pytest.raises(ShapeError):
+            ad.lstm_pointwise(t(np.zeros((2, 12))), t(np.zeros((1, 3))))
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_constant_operand_gets_no_gradient(op):
+    # only the discarded gradient of the constant scalar, a sum of two 1e308, overflows
+    x, c = t([1e-300, 1e-300], grad=True), t(0.0)
+    loss = ad.reduce("sum", ad.scale(getattr(ad, op)(x, c), 1e308))
+    with np.errstate(over="raise"):
+        backward(loss)
+    np.testing.assert_array_equal(x.grad, [1e308, 1e308])
+    assert c.grad is None
+
+
+def test_constant_mul_operand_forms_no_product():
+    # only the discarded d(c) = 1e10 * 1e300 overflows
+    x, c = t([1e300], grad=True), t([1e-300])
+    loss = ad.reduce("sum", ad.scale(ad.mul(x, c), 1e10))
+    with np.errstate(over="raise"):
+        backward(loss)
+    np.testing.assert_array_equal(x.grad, [1e10 * 1e-300])
+    assert c.grad is None
 
 
 def test_embedding_and_gather_gradients():

@@ -86,6 +86,18 @@ def lstm_scalar_oracle(cell: LSTMCell, x, h, c):
     return o * np.tanh(c_t), c_t
 
 
+def composed_step(cell: LSTMCell, x_t, h_prev, c_prev):
+    """The step as separate sigmoid/tanh/narrow/mul/add nodes: the oracle that
+    `ad.lstm_pointwise` must match bit for bit, forward and backward."""
+    hid = cell.hidden_dim
+    pre = ad.add_rowvec(ad.matmul(ad.concat([x_t, h_prev], axis=1), cell.weight), cell.bias)
+    ifo = ad.sigmoid(ad.narrow(pre, 1, 0, 3 * hid))
+    g = ad.tanh(ad.narrow(pre, 1, 3 * hid, hid))
+    i, f, o = (ad.narrow(ifo, 1, k * hid, hid) for k in range(3))
+    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    return ad.mul(o, ad.tanh(c_t)), c_t
+
+
 class TestLSTMCell:
     def test_all_zero_parameters(self):
         cell = LSTMCell(3, 4, rng_for(0))
@@ -153,6 +165,54 @@ class TestLSTMCell:
         cell = LSTMCell(3, 4, rng_for(11))
         lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3))))
         assert calls == {"matmul": 5, "transpose": 0}
+
+    def test_run_records_eight_nodes_per_step(self, monkeypatch):
+        # concat, matmul, add_rowvec, lstm_pointwise and two narrows in the step,
+        # plus lstm_run's narrow and reshape of the input
+        made = []
+
+        def counted(*args, _fn=ad._make_node):
+            made.append(_fn(*args))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "_make_node", counted)
+        cell = LSTMCell(3, 4, rng_for(11))
+        lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3)), requires_grad=True))
+        assert len(made) == 8 * 5
+        assert all(node.requires_grad for node in made)
+
+    def test_run_is_bit_identical_to_the_composed_step(self, monkeypatch):
+        def run(step):
+            cell = LSTMCell(3, 4, rng_for(16))
+            x = Tensor(rng_for(17).normal(size=(5, 2, 3)), requires_grad=True)
+            monkeypatch.setattr(cell, "step", step(cell))
+            outs = lstm_run(cell, x)
+            w = Tensor(rng_for(18).normal(size=(5, 2, 4)))
+            backward(ad.reduce("sum", ad.mul(ad.stack0(outs), w)))
+            return [o.data for o in outs] + [x.grad, cell.weight.grad, cell.bias.grad]
+
+        fused = run(lambda cell: cell.step)
+        composed = run(lambda cell: lambda *state: composed_step(cell, *state))
+        assert all(np.array_equal(a, b) for a, b in zip(fused, composed, strict=True))
+
+    @pytest.mark.parametrize("constant_c", [True, False])
+    def test_step_is_bit_identical_to_the_composed_step(self, constant_c):
+        def run(step):
+            cell = LSTMCell(3, 4, rng_for(19))
+            rng = rng_for(20)
+            x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+            h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+            c = Tensor(np.zeros((2, 4)) if constant_c else rng.normal(size=(2, 4)),
+                       requires_grad=not constant_c)
+            h_t, c_t = step(cell, x, h, c)
+            w_h, w_c = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4)))
+            backward(ad.add(ad.reduce("sum", ad.mul(h_t, w_h)), ad.reduce("sum", ad.mul(c_t, w_c))))
+            return [h_t.data, c_t.data, x.grad, h.grad, c.grad, cell.weight.grad, cell.bias.grad]
+
+        fused = run(LSTMCell.step)
+        composed = run(composed_step)
+        assert (fused[4] is None) == constant_c
+        assert all(np.array_equal(a, b) for a, b in zip(fused, composed, strict=True))
 
     def test_run_writes_the_fused_weight_gradient_once(self):
         class CountedWeight(Tensor):
