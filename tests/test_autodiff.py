@@ -498,24 +498,18 @@ class TestLSTMPointwise:
             ad.lstm_pointwise(t(np.zeros((2, 12))), t(np.zeros((1, 3))))
 
 
-@pytest.mark.parametrize("op", ["add", "sub"])
-def test_constant_operand_gets_no_gradient(op):
-    # only the discarded gradient of the constant scalar, a sum of two 1e308, overflows
-    x, c = t([1e-300, 1e-300], grad=True), t(0.0)
-    loss = ad.reduce("sum", ad.scale(getattr(ad, op)(x, c), 1e308))
+@pytest.mark.parametrize("op, x, c, factor, want", [
+    ("add", [1e-300, 1e-300], 0.0, 1e308, [1e308, 1e308]),  # d c: a sum of two 1e308
+    ("sub", [1e-300, 1e-300], 0.0, 1e308, [1e308, 1e308]),
+    ("mul", [1e300], [1e-300], 1e10, [1e10 * 1e-300]),      # d c: 1e10 * 1e300
+], ids=["add", "sub", "mul"])
+def test_constant_operand_gets_no_gradient(op, x, c, factor, want):
+    # only the discarded gradient of the constant operand would overflow
+    x, c = t(x, grad=True), t(c)
+    loss = ad.reduce("sum", ad.scale(getattr(ad, op)(x, c), factor))
     with np.errstate(over="raise"):
         backward(loss)
-    np.testing.assert_array_equal(x.grad, [1e308, 1e308])
-    assert c.grad is None
-
-
-def test_constant_mul_operand_forms_no_product():
-    # only the discarded d(c) = 1e10 * 1e300 overflows
-    x, c = t([1e300], grad=True), t([1e-300])
-    loss = ad.reduce("sum", ad.scale(ad.mul(x, c), 1e10))
-    with np.errstate(over="raise"):
-        backward(loss)
-    np.testing.assert_array_equal(x.grad, [1e10 * 1e-300])
+    np.testing.assert_array_equal(x.grad, want)
     assert c.grad is None
 
 
