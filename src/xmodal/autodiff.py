@@ -552,32 +552,31 @@ def _col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, 
     return acc
 
 
-def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation (no kernel flip) over (C,H,W) or (N,C,H,W) input."""
-    single = x.data.ndim == 3
+def _conv_shapes(op: str, x: Tensor, kernels: Tensor) -> tuple:
     if kernels.data.ndim != 4:
-        raise ShapeError(f"conv2d kernels must be (C_out, C_in, kh, kw), got {kernels.shape}")
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"conv2d input must be (C,H,W) or (N,C,H,W), got {x.shape}")
-    xd = x.data[None] if single else x.data
-    n, c_in, h, w = xd.shape
-    c_out, kc, kh, kw = kernels.shape
-    if kc != c_in:
-        raise ShapeError(f"conv2d channel mismatch: input {c_in}, kernels {kc}")
+        raise ShapeError(f"{op} kernels must be (C_out, C_in, kh, kw), got {kernels.shape}")
+    if x.data.ndim != 4:
+        raise ShapeError(f"{op} input must be (N, C, H, W), got {x.shape}")
+    if kernels.shape[1] != x.shape[1]:
+        raise ShapeError(f"{op} channel mismatch: input {x.shape[1]}, kernels {kernels.shape[1]}")
+    return x.shape, kernels.shape
+
+
+def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation (no kernel flip) over (N,C,H,W) input."""
+    (n, c_in, h, w), (c_out, _, kh, kw) = _conv_shapes("conv2d", x, kernels)
     ho = _conv_out_size(h, kh, stride, padding)
     wo = _conv_out_size(w, kw, stride, padding)
 
     if padding:
         xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding:-padding, padding:-padding] = xd
+        xp[:, :, padding:-padding, padding:-padding] = x.data
     else:
-        xp = xd
+        xp = x.data
     xp_shape = xp.shape  # backward needs only the shape: the padded copy goes with the forward
     cols = _im2col(xp, kh, kw, stride, ho, wo)                 # (N, C*kh*kw, P)
     wmat = kernels.data.reshape(c_out, c_in * kh * kw)
     out_data = (wmat @ cols).reshape(n, c_out, ho, wo)         # (C_out, K) @ (N, K, P)
-    if single:
-        out_data = out_data[0]
 
     def backward_fn():
         g = out.grad.reshape(n, c_out, ho * wo)
@@ -588,7 +587,59 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
             dxp = _col2im(wmat.T @ g, xp_shape, kh, kw, stride, ho, wo)
             if padding:
                 dxp = dxp[:, :, padding:-padding, padding:-padding]
-            x._accumulate(dxp[0] if single else dxp)
+            x._accumulate(dxp)
+
+    out = _make_node(out_data, (x, kernels), backward_fn)
+    return out
+
+
+# Along one axis, nearest-neighbour doubling then a 3-tap kernel gives output
+# phase a (row 2i+a) the taps (K0, K1+K2) at a=0 and (K0+K1, K2) at a=1 over the
+# 2-row window at padded row i+a: _PHASE_TAPS[a, t, k] = 1 where window tap t
+# sums kernel tap k. _TAP_SUMS maps the 9 taps of a 3x3 kernel to the 16
+# (a, b, ti, tj) phase taps; its transpose folds a phase-bank gradient back.
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+_TAP_SUMS = np.einsum("atk,bul->klabtu", _PHASE_TAPS, _PHASE_TAPS).reshape(9, 16)
+
+
+def upsample2x_conv3x3(x: Tensor, kernels: Tensor) -> Tensor:
+    """conv2d(upsample2x(x), kernels, stride=1, padding=1) without the upsampled tensor.
+
+    Output pixel (2i+a, 2j+b) reads only the 2x2 window at (i+a, j+b) of the
+    once-padded input, so one GEMM of a (4*C_out, 4*C_in) phase bank over the
+    (H+1)x(W+1) windows yields all four output phases.
+    """
+    (n, c_in, h, w), (c_out, _, kh, kw) = _conv_shapes("upsample2x_conv3x3", x, kernels)
+    if (kh, kw) != (3, 3):
+        raise ShapeError(f"upsample2x_conv3x3 needs 3x3 kernels, got {kh}x{kw}")
+    xp = np.zeros((n, c_in, h + 2, w + 2))
+    xp[:, :, 1:-1, 1:-1] = x.data
+    xp_shape = xp.shape  # as in conv2d, the padded copy goes with the forward
+    cols = _im2col(xp, 2, 2, 1, h + 1, w + 1)                  # (N, C_in*4, P)
+    bank = (kernels.data.reshape(c_out * c_in, 9) @ _TAP_SUMS).reshape(c_out, c_in, 2, 2, 2, 2)
+    bank = bank.transpose(2, 3, 0, 1, 4, 5).reshape(4 * c_out, c_in * 4)  # rows (a, b, C_out)
+    blocks = (bank @ cols).reshape(n, 2, 2, c_out, h + 1, w + 1)
+    out_data = np.empty((n, c_out, 2 * h, 2 * w))
+    phases = out_data.reshape(n, c_out, h, 2, w, 2)  # a view: [:, :, i, a, j, b] is (2i+a, 2j+b)
+    for a in (0, 1):
+        for b in (0, 1):
+            phases[:, :, :, a, :, b] = blocks[:, a, b, :, a:a + h, b:b + w]
+
+    def backward_fn():
+        g_phases = out.grad.reshape(n, c_out, h, 2, w, 2)
+        g_blocks = np.zeros((n, 2, 2, c_out, h + 1, w + 1))
+        for a in (0, 1):
+            for b in (0, 1):
+                g_blocks[:, a, b, :, a:a + h, b:b + w] = g_phases[:, :, :, a, :, b]
+        g = g_blocks.reshape(n, 4 * c_out, (h + 1) * (w + 1))
+        if kernels.requires_grad:
+            dbank = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)  # as in conv2d
+            dbank = dbank.reshape(2, 2, c_out, c_in, 2, 2).transpose(2, 3, 0, 1, 4, 5)
+            dk = dbank.reshape(c_out * c_in, 16) @ _TAP_SUMS.T
+            kernels._accumulate(dk.reshape(kernels.shape))
+        if x.requires_grad:
+            dxp = _col2im(bank.T @ g, xp_shape, 2, 2, 1, h + 1, w + 1)
+            x._accumulate(dxp[:, :, 1:-1, 1:-1])
 
     out = _make_node(out_data, (x, kernels), backward_fn)
     return out

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .errors import DivergenceError
-from .layers import Conv2dLayer, DenseLayer, Module
+from .layers import Conv2dLayer, DenseLayer, Module, UpsampleConv2dLayer
 from .optim import Adam, TrainingRun
 
 
@@ -120,7 +120,10 @@ class GeneratorStack(Module):
     """Branch networks and image heads: h_0 = f_0(c, z); h_i = f_i(h_{i-1}, c);
     each branch emits a tanh image, resolution doubling per branch.
 
-    Channels halve per branch. The conditioning enters each branch through a
+    Channels halve per branch. Each join `join{i}` doubles h_{i-1} by
+    nearest-neighbour upsampling and applies a 3x3 conv, as one
+    `ad.upsample2x_conv3x3` node that never builds the doubled tensor; its
+    kernels keep the 3x3 shape. The conditioning enters each branch through a
     dense projection broadcast over space (equivalent to concatenating a
     tiled c and convolving 1x1, but without widening the 3x3 im2col).
     """
@@ -137,7 +140,7 @@ class GeneratorStack(Module):
         for i in range(cfg.branches):
             if i > 0:
                 self.joins.append(self._child(
-                    f"join{i}", Conv2dLayer(self.channels[i - 1], self.channels[i], 3, 1, 1, rng)))
+                    f"join{i}", UpsampleConv2dLayer(self.channels[i - 1], self.channels[i], rng)))
                 self.cond_projs.append(self._child(
                     f"cond_proj{i}", DenseLayer(cfg.d_c, self.channels[i], rng)))
             self.heads.append(self._child(f"to_img{i}", Conv2dLayer(self.channels[i], 3, 3, 1, 1, rng)))
@@ -154,7 +157,7 @@ class GeneratorStack(Module):
         images = [ad.tanh(self.heads[0](h))]
         for i in range(1, cfg.branches):
             res = cfg.base_res * 2 ** i
-            spatial = self.joins[i - 1](ad.upsample2x(h))
+            spatial = self.joins[i - 1](h)
             conditioned = ad.add(spatial, ad.tile_hw(self.cond_projs[i - 1](c_hat), res, res))
             h = ad.relu(conditioned)
             images.append(ad.tanh(self.heads[i](h)))

@@ -152,49 +152,55 @@ def conv_grad_loop_oracle(x, w, g, stride=1, padding=0):
 
 class TestConv2d:
     def test_identity_kernel(self):
-        x = np.random.default_rng(3).normal(size=(2, 5, 5))
+        x = np.random.default_rng(3).normal(size=(1, 2, 5, 5))
         k = np.zeros((2, 2, 1, 1))
         k[0, 0, 0, 0] = k[1, 1, 0, 0] = 1.0
         np.testing.assert_array_equal(ad.conv2d(t(x), t(k)).data, x)
 
     def test_all_ones_2x2(self):
-        out = ad.conv2d(t(np.ones((1, 2, 2))), t(np.ones((1, 1, 2, 2))))
-        np.testing.assert_allclose(out.data, [[[4.0]]])
+        out = ad.conv2d(t(np.ones((1, 1, 2, 2))), t(np.ones((1, 1, 2, 2))))
+        np.testing.assert_allclose(out.data, [[[[4.0]]]])
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (1, 2)])
     def test_vs_loop_oracle(self, stride, padding):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(2, 5, 5))
+        x = rng.normal(size=(1, 2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
         if (5 + 2 * padding - 3) % stride:
             pytest.skip("shape not representable")
         got = ad.conv2d(t(x), t(k), stride, padding).data
-        np.testing.assert_allclose(got, conv_loop_oracle(x, k, stride, padding), atol=1e-12, rtol=0)
+        np.testing.assert_allclose(got[0], conv_loop_oracle(x[0], k, stride, padding),
+                                   atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("batch", [None, 1, 3], ids=["chw", "n1", "n3"])
     @pytest.mark.parametrize("kernel", [1, 3, 4])
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_forward_and_gradients_vs_loop_oracle(self, stride, padding, kernel, batch):
+        # chw: one (C, H, W) sample, given with a leading batch axis of 1 and
+        # checked unbatched against the per-sample loops
         rng = np.random.default_rng(40)
         c_in, c_out = 2, 3
         h = next(s for s in range(5, 5 + stride) if (s + 2 * padding - kernel) % stride == 0)
         w = h + stride  # a non-square input keeps the two spatial axes apart
         x = t(rng.normal(size=(c_in, h, w) if batch is None else (batch, c_in, h, w)), grad=True)
+        if batch is None:
+            x = t(x.data[None], grad=True)
         k = t(rng.normal(size=(c_out, c_in, kernel, kernel)), grad=True)
         out = ad.conv2d(x, k, stride, padding)
         g = rng.normal(size=out.shape)
         backward(ad.reduce("sum", ad.mul(out, Tensor(g))))
 
-        samples = [(x.data, g)] if batch is None else list(zip(x.data, g))
+        samples = list(zip(x.data, g))
         want_out = [conv_loop_oracle(xi, k.data, stride, padding) for xi, _ in samples]
         grads = [conv_grad_loop_oracle(xi, k.data, gi, stride, padding) for xi, gi in samples]
         want_dx = [dx for _, dx in grads]
+        got_out, got_dx = out.data, x.grad
         if batch is None:
-            want_out, want_dx = want_out[0], want_dx[0]
-        np.testing.assert_allclose(out.data, want_out, atol=1e-12, rtol=0)
+            want_out, want_dx, got_out, got_dx = want_out[0], want_dx[0], got_out[0], got_dx[0]
+        np.testing.assert_allclose(got_out, want_out, atol=1e-12, rtol=0)
         np.testing.assert_allclose(k.grad, sum(dw for dw, _ in grads), atol=1e-12, rtol=0)
-        np.testing.assert_allclose(x.grad, want_dx, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(got_dx, want_dx, atol=1e-12, rtol=0)
 
     def test_operand_without_grad_gets_none_and_no_input_gradient(self, monkeypatch):
         rng = np.random.default_rng(41)
@@ -219,7 +225,7 @@ class TestConv2d:
         k = rng.normal(size=(3, 2, 3, 3))
         batched = ad.conv2d(t(x), t(k), 1, 1).data
         for i in range(4):
-            np.testing.assert_allclose(batched[i], ad.conv2d(t(x[i]), t(k), 1, 1).data,
+            np.testing.assert_allclose(batched[i], ad.conv2d(t(x[i:i + 1]), t(k), 1, 1).data[0],
                                        atol=1e-14, rtol=0)
 
     def test_backward_keeps_no_padded_copy(self):
@@ -230,11 +236,77 @@ class TestConv2d:
 
     def test_non_integer_output_rejected(self):
         with pytest.raises(ShapeError):
-            ad.conv2d(t(np.ones((1, 5, 5))), t(np.ones((1, 1, 2, 2))), stride=2)
+            ad.conv2d(t(np.ones((1, 1, 5, 5))), t(np.ones((1, 1, 2, 2))), stride=2)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            ad.conv2d(t(np.ones((2, 4, 4))), t(np.ones((1, 3, 2, 2))))
+            ad.conv2d(t(np.ones((1, 2, 4, 4))), t(np.ones((1, 3, 2, 2))))
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.conv2d(t(np.ones((2, 4, 4))), t(np.ones((1, 2, 2, 2))))
+
+
+def upsample_conv_oracle(x, k):
+    """The composed pair the op folds: nearest-neighbour doubling, then a padded 3x3 conv."""
+    return ad.conv2d(ad.upsample2x(x), k, stride=1, padding=1)
+
+
+class TestUpsample2xConv3x3:
+    @pytest.mark.parametrize("n, c_in, c_out, h, w", [
+        (16, 32, 16, 8, 8),    # the default generator's join1
+        (16, 16, 8, 16, 16),   # and join2
+        (1, 32, 16, 8, 8),     # one text-to-image translate
+        (4, 32, 16, 1, 1),     # join1 of image_ae.branches=6, base_res=1
+        (3, 4, 5, 3, 5),       # non-square
+    ], ids=["join1", "join2", "batch1", "one_pixel", "non_square"])
+    def test_matches_composed_oracle(self, n, c_in, c_out, h, w):
+        rng = np.random.default_rng(42)
+        x_data, k_data = rng.normal(size=(n, c_in, h, w)), rng.normal(size=(c_out, c_in, 3, 3))
+        g = Tensor(rng.normal(size=(n, c_out, 2 * h, 2 * w)))
+        results = []
+        for op in (ad.upsample2x_conv3x3, upsample_conv_oracle):
+            x, k = t(x_data, grad=True), t(k_data, grad=True)
+            out = op(x, k)
+            backward(ad.reduce("sum", ad.mul(out, g)))
+            results.append((out.data, x.grad, k.grad))
+        (out, dx, dk), (want_out, want_dx, want_dk) = results
+        np.testing.assert_allclose(out, want_out, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(dx, want_dx, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(dk, want_dk, atol=1e-12, rtol=0)
+
+    def test_gradients_of_input_and_kernels(self):
+        rng = np.random.default_rng(43)
+        x, k = rng.normal(size=(2, 3, 3, 4)), rng.normal(size=(2, 3, 3, 3))
+        w = Tensor(rng.normal(size=(2, 2, 6, 8)))  # weighs every output pixel differently
+
+        def loss(out):
+            return ad.reduce("sum", ad.mul(out, w))
+
+        assert gradient_check(lambda v: loss(ad.upsample2x_conv3x3(v, Tensor(k))), t(x)) <= 1e-6
+        assert gradient_check(lambda v: loss(ad.upsample2x_conv3x3(Tensor(x), v)), t(k)) <= 1e-6
+
+    @pytest.mark.parametrize("x_shape, k_shape", [
+        ((2, 4, 4), (1, 2, 3, 3)),         # unbatched input
+        ((1, 2, 4, 4), (1, 2, 4, 4)),      # not a 3x3 kernel
+        ((1, 2, 4, 4), (1, 3, 3, 3)),      # channel mismatch
+    ], ids=["unbatched", "kernel_4x4", "channel_mismatch"])
+    def test_shape_errors(self, x_shape, k_shape):
+        with pytest.raises(ShapeError):
+            ad.upsample2x_conv3x3(t(np.ones(x_shape)), t(np.ones(k_shape)))
+
+    def test_closure_keeps_cols_and_bank_only(self):
+        x, k = t(np.ones((2, 3, 4, 4)), grad=True), t(np.ones((5, 3, 3, 3)), grad=True)
+        out = ad.upsample2x_conv3x3(x, k)
+        held = [c.cell_contents for c in out._backward_fn.__closure__]
+        arrays = sorted(v.shape for v in held if isinstance(v, np.ndarray))
+        assert arrays == [(2, 3 * 4, 5 * 5), (4 * 5, 3 * 4)]  # cols, phase bank
+
+    def test_no_grad_keeps_no_closure(self):
+        x, k = t(np.ones((2, 3, 4, 4)), grad=True), t(np.ones((5, 3, 3, 3)), grad=True)
+        with ad.no_grad():
+            out = ad.upsample2x_conv3x3(x, k)
+        assert out._backward_fn is None and out._parents == () and not out.requires_grad
 
 
 class TestReduce:
@@ -535,7 +607,7 @@ def test_embedding_and_gather_gradients():
 def test_conv2d_gradients():
     rng = np.random.default_rng(12)
     k = Tensor(rng.normal(size=(2, 3, 3, 3)))
-    x = rng.normal(size=(3, 6, 6))
+    x = rng.normal(size=(1, 3, 6, 6))
 
     def f_input(v):
         out = ad.conv2d(v, k, stride=1, padding=1)

@@ -1,5 +1,7 @@
 """Image autoencoder: conditional augmentation, generator stack, losses."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,63 @@ class TestGeneratorStack:
         b = generate_images(model, psi, np.random.default_rng(5))
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
+
+
+    @pytest.mark.parametrize("batch", [16, 1])
+    def test_joins_match_the_composed_upsample_and_conv(self, batch, monkeypatch):
+        # the default generator, run once through the folded join op and once
+        # through nearest-neighbour doubling and a padded 3x3 conv2d
+        cfg = ImageAEConfig()
+        model = ImageAutoencoder(cfg, np.random.default_rng(17))
+        rng = np.random.default_rng(18)
+        c = Tensor(rng.normal(size=(batch, cfg.d_c)))
+        z = Tensor(rng.normal(size=(batch, cfg.d_z)))
+        images = model.generator(c, z)
+        monkeypatch.setattr(ad, "upsample2x_conv3x3",
+                            lambda x, k: ad.conv2d(ad.upsample2x(x), k, stride=1, padding=1))
+        for got, want in zip(images, model.generator(c, z)):
+            np.testing.assert_allclose(got.data, want.data, atol=1e-12, rtol=0)
+
+
+def test_parameter_names_shapes_and_initial_values_pinned():
+    # checkpoints written before the joins became one op keep loading: same
+    # names, shapes and draw order
+    model = ImageAutoencoder(ImageAEConfig(), np.random.default_rng(0))
+    shapes = {name: p.shape for name, p in model.named_parameters()}
+    assert shapes["generator.join1.kernels"] == (16, 32, 3, 3)
+    assert shapes["generator.join1.bias"] == (16,)
+    assert shapes["generator.join2.kernels"] == (8, 16, 3, 3)
+    assert shapes["generator.join2.bias"] == (8,)
+    assert list(shapes) == [
+        f"encoder.conv{i}.{p}" for i in range(4) for p in ("kernels", "bias")] + [
+        "encoder.head.weight", "encoder.head.bias", "augment.proj.weight", "augment.proj.bias",
+        "generator.fc0.weight", "generator.fc0.bias", "generator.to_img0.kernels",
+        "generator.to_img0.bias"] + [
+        f"generator.{layer}{i}.{p}" for i in (1, 2)
+        for layer, params in (("join", ("kernels", "bias")), ("cond_proj", ("weight", "bias")),
+                              ("to_img", ("kernels", "bias")))
+        for p in params]
+    digest = hashlib.sha256()
+    for name, p in model.named_parameters():
+        digest.update(name.encode())
+        digest.update(p.data.tobytes())
+    assert digest.hexdigest() == "6e4054e3cfefa1df94fa9be054fa72b17829b07dcff11636cbf77a214ecfe658"
+
+
+def test_saved_checkpoint_loads_into_a_fresh_model(tmp_path):
+    from xmodal.checkpoint import load_into, save_module
+    cfg = ImageAEConfig()
+    model = ImageAutoencoder(cfg, np.random.default_rng(19))
+    save_module(model, tmp_path / "image_ae.ckpt")
+    fresh = ImageAutoencoder(cfg, np.random.default_rng(20))
+    load_into(fresh, tmp_path / "image_ae.ckpt")
+    for (name, p), (fresh_name, q) in zip(model.named_parameters(), fresh.named_parameters()):
+        assert name == fresh_name
+        np.testing.assert_array_equal(p.data, q.data)
+    psi = np.random.default_rng(21).normal(size=cfg.d_img)
+    for u, v in zip(generate_images(model, psi, np.random.default_rng(22)),
+                    generate_images(fresh, psi, np.random.default_rng(22))):
+        np.testing.assert_array_equal(u, v)
 
 
 class _StubDisc:
