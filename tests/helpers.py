@@ -1,4 +1,5 @@
-"""Test-only helpers: finite-difference gradient checks and the metric CSV reader.
+"""Test-only helpers: finite-difference gradient checks, the generator join's oracle
+and the metric CSV reader.
 
 Test modules import this as `helpers`; pytest puts `tests/` on `sys.path`.
 """
@@ -8,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from xmodal import autodiff as ad
 from xmodal.autodiff import GraphError, Tensor, backward, no_grad
 from xmodal.errors import FormatError
 from xmodal.metrics import MetricReport
@@ -51,6 +53,11 @@ def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) 
         raise GradientCheckError(f"non-finite analytic gradient at coordinate {bad}")
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def upsample_conv_oracle(x: Tensor, k: Tensor) -> Tensor:
+    """What `ad.upsample2x_conv3x3` folds: nearest-neighbour doubling, then a padded 3x3 conv."""
+    return ad.conv2d(ad.upsample2x(x), k, stride=1, padding=1)
 
 
 def read_metric_rows(path) -> list[dict]:

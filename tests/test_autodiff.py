@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from xmodal import autodiff as ad
 from xmodal.autodiff import GraphError, ShapeError, Tensor, backward
 
-from helpers import GradientCheckError, gradient_check
+from helpers import GradientCheckError, gradient_check, upsample_conv_oracle
 
 
 def t(data, grad=False):
@@ -183,9 +183,7 @@ class TestConv2d:
         c_in, c_out = 2, 3
         h = next(s for s in range(5, 5 + stride) if (s + 2 * padding - kernel) % stride == 0)
         w = h + stride  # a non-square input keeps the two spatial axes apart
-        x = t(rng.normal(size=(c_in, h, w) if batch is None else (batch, c_in, h, w)), grad=True)
-        if batch is None:
-            x = t(x.data[None], grad=True)
+        x = t(rng.normal(size=(1 if batch is None else batch, c_in, h, w)), grad=True)
         k = t(rng.normal(size=(c_out, c_in, kernel, kernel)), grad=True)
         out = ad.conv2d(x, k, stride, padding)
         g = rng.normal(size=out.shape)
@@ -245,11 +243,6 @@ class TestConv2d:
     def test_unbatched_input_rejected(self):
         with pytest.raises(ShapeError):
             ad.conv2d(t(np.ones((2, 4, 4))), t(np.ones((1, 2, 2, 2))))
-
-
-def upsample_conv_oracle(x, k):
-    """The composed pair the op folds: nearest-neighbour doubling, then a padded 3x3 conv."""
-    return ad.conv2d(ad.upsample2x(x), k, stride=1, padding=1)
 
 
 class TestUpsample2xConv3x3:
