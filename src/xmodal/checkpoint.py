@@ -47,7 +47,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
     stored_crc = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF != stored_crc:
         raise FormatError(f"{path}: checkpoint CRC mismatch")
     version, count = struct.unpack("<II", blob[4:12])
     if version != VERSION:
@@ -71,7 +71,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             pos += 8 * n_values
             if name in out:
                 raise FormatError(f"{path}: duplicate tensor name {name!r}")
-            out[name] = arr.copy()
+            out[name] = arr.astype(np.float64)  # a fresh, aligned, native-order copy
     except FormatError:
         raise
     except (struct.error, ValueError) as e:  # truncation, a name not UTF-8, dims numpy rejects
@@ -82,7 +82,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def load_into(module, path) -> None:
-    """Copy checkpoint arrays into a module; names and shapes must match exactly."""
+    """Bind each checkpoint array, uncopied, to the parameter of its name. Every name and
+    shape is checked first, so a failed load leaves every parameter as it was."""
     arrays = load_checkpoint(path)
     params = dict(module.named_parameters())
     missing = sorted(set(params) - set(arrays))
@@ -94,7 +95,8 @@ def load_into(module, path) -> None:
         if arrays[name].shape != p.data.shape:
             raise FormatError(f"{path}: shape mismatch for {name!r}: "
                               f"{arrays[name].shape} vs {p.data.shape}")
-        p.data[...] = arrays[name]
+    for name, p in params.items():
+        p.data = arrays[name]
 
 
 def save_module(module, path) -> None:

@@ -62,6 +62,12 @@ class Workspace:
             raise MissingDependencyError(f"missing checkpoint for stage {stage!r}: {path}")
         return path
 
+    def require_vocabulary(self) -> Path:
+        path = self.checkpoints / "vocab.txt"
+        if not path.is_file():
+            raise MissingDependencyError(f"missing vocabulary for stage 'text-ae': {path}")
+        return path
+
 
 def colorshapes_spec(cfg: dict, seed: int) -> ColorShapesSpec:
     colors = tuple(c.strip() for c in cfg["data.colors"].split(",") if c.strip())
@@ -106,19 +112,16 @@ def _captions(ws: Workspace, cfg: dict, split: str) -> list[tuple[int, list[str]
 
 def load_image_model(ws: Workspace, cfg: dict) -> ImageAutoencoder:
     path = ws.require_checkpoint("image-ae")
-    model = ImageAutoencoder(ImageAEConfig(**section(cfg, "image_ae")), np.random.default_rng(0))
+    model = ImageAutoencoder(ImageAEConfig(**section(cfg, "image_ae")), None)
     load_into(model, path)
     return model
 
 
 def load_text_model(ws: Workspace, cfg: dict) -> tuple[TextAutoencoder, Vocabulary]:
     path = ws.require_checkpoint("text-ae")
-    vocab_path = ws.checkpoints / "vocab.txt"
-    if not vocab_path.is_file():
-        raise MissingDependencyError(f"missing vocabulary for stage 'text-ae': {vocab_path}")
-    vocab = Vocabulary.load(vocab_path)
+    vocab = Vocabulary.load(ws.require_vocabulary())
     model = TextAutoencoder(len(vocab), cfg["text_ae.embed_dim"], cfg["text_ae.hidden"],
-                            np.random.default_rng(0), max_len=cfg["text_ae.max_len"])
+                            None, max_len=cfg["text_ae.max_len"])
     load_into(model, path)
     return model, vocab
 
@@ -128,7 +131,7 @@ def load_mapper(ws: Workspace, cfg: dict, stage: str) -> MapperGenerator:
     d_img = cfg["image_ae.d_img"]
     d_txt = 2 * cfg["text_ae.hidden"]
     src, dst = (d_img, d_txt) if stage == "mapper-i2t" else (d_txt, d_img)
-    gen = MapperGenerator(src, dst, cfg["mapper.hidden"], np.random.default_rng(0))
+    gen = MapperGenerator(src, dst, cfg["mapper.hidden"], None)
     load_into(gen, path)
     return gen
 
@@ -245,31 +248,39 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
 def cmd_translate(ws: Workspace, cfg: dict, seed: int, direction: str,
                   input_path: str, output_path: str | None) -> int:
     rng = stage_rng(seed, "translate")
-    img_model = load_image_model(ws, cfg)
-    txt_model, vocab = load_text_model(ws, cfg)
-    ws.translations.mkdir(parents=True, exist_ok=True)
-    if direction == "image-to-text":
-        mapper = load_mapper(ws, cfg, "mapper-i2t")
+    i2t = direction == "image-to-text"
+    mapper_stage = "mapper-i2t" if i2t else "mapper-t2i"
+    # prerequisites, then the input, before any model loads: a failed translate writes nothing
+    for stage in ("image-ae", "text-ae", mapper_stage):
+        ws.require_checkpoint(stage)
+    ws.require_vocabulary()
+    if i2t:
         image = read_ppm(input_path)
-        size = img_model.cfg.top_res
+        size = ImageAEConfig(**section(cfg, "image_ae")).top_res
         if image.shape != (3, size, size):
             raise FormatError(f"{input_path}: image is {image.shape[2]}x{image.shape[1]}, "
                               f"the model takes {size}x{size}")
+    else:
+        tokens = tokenize(read_utf8(input_path))
+        if not 1 <= len(tokens) <= cfg["text_ae.max_len"]:
+            raise FormatError(f"{input_path}: {len(tokens)} tokens in input text, "
+                              f"the model takes 1 to {cfg['text_ae.max_len']}")
+    img_model = load_image_model(ws, cfg)
+    txt_model, vocab = load_text_model(ws, cfg)
+    mapper = load_mapper(ws, cfg, mapper_stage)
+    if i2t:
         psi = encode_image(img_model, image)
         sentence = map_embedding(mapper, psi)
         caption = detokenize(vocab.decode(decode_text(txt_model, sentence)))
+        ws.translations.mkdir(parents=True, exist_ok=True)
         out = Path(output_path) if output_path else ws.translations / "i2t.txt"
         out.write_text(caption + "\n", encoding="utf-8")
         print(caption)
     else:
-        mapper = load_mapper(ws, cfg, "mapper-t2i")
-        tokens = tokenize(read_utf8(input_path))
-        if not 1 <= len(tokens) <= txt_model.max_len:
-            raise FormatError(f"{input_path}: {len(tokens)} tokens in input text, "
-                              f"the model takes 1 to {txt_model.max_len}")
         sentence = encode_text(txt_model, vocab.encode(tokens))
         psi = map_embedding(mapper, sentence)
         images = generate_images(img_model, psi, rng, sample_augment=cfg["translate.sample"])
+        ws.translations.mkdir(parents=True, exist_ok=True)
         out = Path(output_path) if output_path else ws.translations / "t2i.ppm"
         write_ppm(images[-1][0], out)
         print(out)

@@ -13,7 +13,10 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator | None, shape, fan_in: int, fan_out: int) -> np.ndarray:
+    """With `rng=None`, uninitialised memory: a model built so is valid only after `load_into`."""
+    if rng is None:
+        return np.empty(shape)
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
 

@@ -7,14 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xmodal.checkpoint import load_checkpoint, load_into, save_checkpoint
-from xmodal.cli import TRAIN_STAGES, main
+from xmodal import layers
+from xmodal.checkpoint import load_checkpoint, load_into, save_checkpoint, save_module
+from xmodal.cli import (TRAIN_STAGES, Workspace, load_image_model, load_mapper, load_text_model,
+                        main)
 from xmodal.config import config_lines, resolve_config, section
 from xmodal.data import load_caption_split, write_ppm
-from xmodal.image_ae import ImageAEConfig, ImageAutoencoder
+from xmodal.image_ae import ImageAEConfig, ImageAutoencoder, encode_image_batch, generate_images
 from xmodal.layers import LSTMCell
-from xmodal.mappers import MapperGenerator
-from xmodal.text_ae import TextAutoencoder, Vocabulary
+from xmodal.mappers import MapperGenerator, map_embedding
+from xmodal.text_ae import TextAutoencoder, Vocabulary, decode_text, encode_text
 
 TINY = """
 data.samples_per_class = 2
@@ -363,6 +365,141 @@ def test_mapper_with_non_finite_output_exits_5(workdir):
     assert main(["translate", "--direction", "image-to-text", "--input", str(image),
                  "--config", cfg]) == 5
     assert not (ws / "translations" / "i2t.txt").exists()
+
+
+# -- loading ----------------------------------------------------------------------
+
+# builder of each checkpointed model from a resolved config and an rng (or None)
+BUILDERS = {
+    "image-ae": lambda cfg, vocab, rng: ImageAutoencoder(
+        ImageAEConfig(**section(cfg, "image_ae")), rng),
+    "text-ae": lambda cfg, vocab, rng: TextAutoencoder(
+        len(vocab), cfg["text_ae.embed_dim"], cfg["text_ae.hidden"], rng,
+        max_len=cfg["text_ae.max_len"]),
+    "mapper-i2t": lambda cfg, vocab, rng: MapperGenerator(
+        cfg["image_ae.d_img"], 2 * cfg["text_ae.hidden"], cfg["mapper.hidden"], rng),
+    "mapper-t2i": lambda cfg, vocab, rng: MapperGenerator(
+        2 * cfg["text_ae.hidden"], cfg["image_ae.d_img"], cfg["mapper.hidden"], rng),
+}
+
+
+@pytest.fixture
+def saved_models(workdir):
+    """A workdir holding seeded, untrained checkpoints of every model and a vocabulary."""
+    ws, cfg_path = workdir
+    cfg = resolve_config(cfg_path)
+    workspace = Workspace(ws)
+    vocab = Vocabulary(["a", "red", "blue", "circle", "square"])
+    vocab.save(workspace.checkpoints / "vocab.txt")
+    for k, (stage, build) in enumerate(BUILDERS.items()):
+        save_module(build(cfg, vocab, np.random.default_rng(k)), workspace.checkpoint(stage))
+    return workspace, cfg, cfg_path, vocab
+
+
+def _record_glorot_rngs(monkeypatch) -> list:
+    rngs = []
+    draw = layers.glorot_uniform
+
+    def recording(rng, *args):
+        rngs.append(rng)
+        return draw(rng, *args)
+
+    monkeypatch.setattr(layers, "glorot_uniform", recording)
+    return rngs
+
+
+def _load_all(workspace: Workspace, cfg: dict) -> dict:
+    return {"image-ae": load_image_model(workspace, cfg),
+            "text-ae": load_text_model(workspace, cfg)[0],
+            "mapper-i2t": load_mapper(workspace, cfg, "mapper-i2t"),
+            "mapper-t2i": load_mapper(workspace, cfg, "mapper-t2i")}
+
+
+def test_loaders_draw_nothing(saved_models, monkeypatch):
+    workspace, cfg, _, _ = saved_models
+    rngs = _record_glorot_rngs(monkeypatch)
+    _load_all(workspace, cfg)
+    assert rngs and all(rng is None for rng in rngs)
+
+
+def test_training_stages_still_draw_from_a_generator(workdir, monkeypatch):
+    ws, cfg = workdir
+    rngs = _record_glorot_rngs(monkeypatch)
+    train_stages(cfg, ("image-ae", "text-ae"))
+    assert rngs and all(isinstance(rng, np.random.Generator) for rng in rngs)
+    rngs.clear()
+    assert main(["train", "--stage", "mapper-i2t", "--config", cfg]) == 0
+    # the autoencoders load without drawing; the mapper it trains draws
+    assert {type(rng) for rng in rngs} == {type(None), np.random.Generator}
+
+
+def test_loaded_parameters_are_the_checkpoint_values_in_their_own_arrays(saved_models):
+    workspace, cfg, _, _ = saved_models
+    datas = []
+    for stage, model in _load_all(workspace, cfg).items():
+        arrays = load_checkpoint(workspace.checkpoint(stage))
+        for name, p in model.named_parameters():
+            assert p.data.dtype == np.float64
+            assert p.data.flags.c_contiguous and p.data.flags.writeable
+            assert p.data.tobytes() == arrays[name].tobytes()  # bit for bit
+            datas.append(p.data)
+    for i, a in enumerate(datas):
+        assert not any(np.may_share_memory(a, b) for b in datas[i + 1:])
+
+
+def test_model_built_without_draws_computes_as_a_seeded_one(saved_models):
+    workspace, cfg, _, vocab = saved_models
+    pairs = {}
+    for stage, build in BUILDERS.items():
+        pairs[stage] = [build(cfg, vocab, rng) for rng in (np.random.default_rng(9), None)]
+        for model in pairs[stage]:
+            load_into(model, workspace.checkpoint(stage))
+    size = ImageAEConfig(**section(cfg, "image_ae")).top_res
+    images = np.random.default_rng(1).uniform(-1, 1, size=(2, 3, size, size))
+    ids = vocab.encode(["a", "red", "circle"])
+
+    def forward(img, txt, i2t, t2i):
+        psi = encode_image_batch(img, images)
+        sentence = encode_text(txt, ids)
+        return [psi, sentence, *generate_images(img, psi, np.random.default_rng(2)),
+                map_embedding(i2t, psi), map_embedding(t2i, sentence),
+                np.asarray(decode_text(txt, sentence))]
+
+    seeded, undrawn = (forward(*models) for models in zip(*pairs.values()))
+    for a, b in zip(seeded, undrawn, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _drop_mapper_i2t(workspace: Workspace):
+    workspace.checkpoint("mapper-i2t").unlink()
+
+
+# case -> (direction, input bytes, fault put into the workdir, exit code)
+TRANSLATE_FAILURES = {
+    "bad-ppm": ("image-to-text", b"not a ppm", None, 3),
+    "caption-over-max-len": ("text-to-image", b"red " * 26, None, 3),
+    "missing-mapper": ("image-to-text", None, _drop_mapper_i2t, 4),
+}
+
+
+@pytest.mark.parametrize("case", TRANSLATE_FAILURES)
+def test_failed_translate_loads_and_writes_nothing(saved_models, monkeypatch, case):
+    workspace, cfg, cfg_path, _ = saved_models
+    direction, data, fault, code = TRANSLATE_FAILURES[case]
+    source = workspace.root / "input"
+    if data is None:  # a well-formed image the model takes
+        size = ImageAEConfig(**section(cfg, "image_ae")).top_res
+        write_ppm(np.zeros((3, size, size)), source)
+    else:
+        source.write_bytes(data)
+    if fault is not None:
+        fault(workspace)
+    loads = []
+    monkeypatch.setattr("xmodal.cli.load_into", lambda module, path: loads.append(path))
+    assert main(["translate", "--direction", direction, "--input", str(source),
+                 "--config", cfg_path]) == code
+    assert loads == []
+    assert not workspace.translations.exists()
 
 
 class TestDatagen:

@@ -174,6 +174,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="shape"):
             load_into(Named(), path)
 
+    def test_failed_load_leaves_every_parameter_untouched(self, tmp_path):
+        # the weight matches and comes first; only the bias does not
+        layer = DenseLayer(3, 2, np.random.default_rng(4))
+        weight = layer.weight.data
+        before = weight.copy()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, [("weight", np.ones((2, 3))), ("bias", np.ones(5))])
+        with pytest.raises(FormatError, match="shape mismatch for 'bias'"):
+            load_into(layer, path)
+        assert layer.weight.data is weight
+        np.testing.assert_array_equal(weight, before)
+
     @pytest.mark.parametrize("writer", WRITERS)
     def test_no_temp_file_after_save(self, tmp_path, writer):
         name, save = WRITERS[writer]
