@@ -47,6 +47,20 @@ def tree_bytes(root: Path) -> dict:
             if p.is_file() and p.suffix != ".cfg" and p.name != ".lock"}
 
 
+# builder of each checkpointed model from a resolved config and an rng (or None)
+BUILDERS = {
+    "image-ae": lambda cfg, vocab, rng: ImageAutoencoder(
+        ImageAEConfig(**section(cfg, "image_ae")), rng),
+    "text-ae": lambda cfg, vocab, rng: TextAutoencoder(
+        len(vocab), cfg["text_ae.embed_dim"], cfg["text_ae.hidden"], rng,
+        max_len=cfg["text_ae.max_len"]),
+    "mapper-i2t": lambda cfg, vocab, rng: MapperGenerator(
+        cfg["image_ae.d_img"], 2 * cfg["text_ae.hidden"], cfg["mapper.hidden"], rng),
+    "mapper-t2i": lambda cfg, vocab, rng: MapperGenerator(
+        2 * cfg["text_ae.hidden"], cfg["image_ae.d_img"], cfg["mapper.hidden"], rng),
+}
+
+
 class TestExitCodes:
     def test_bad_config_key_exits_2(self, workdir):
         ws, _ = workdir
@@ -306,17 +320,8 @@ def test_divergence_keeps_last_good_checkpoint(workdir, case):
     arrays = load_checkpoint(ckpt)
     assert all(np.isfinite(a).all() for a in arrays.values())
     resolved = resolve_config(str(diverging))
-    rng = np.random.default_rng(0)
-    if stage == "image-ae":
-        module = ImageAutoencoder(ImageAEConfig(**section(resolved, "image_ae")), rng)
-    elif stage == "text-ae":
-        vocab = Vocabulary.from_corpus(load_caption_split(ws / "dataset", "train"))
-        module = TextAutoencoder(len(vocab), resolved["text_ae.embed_dim"],
-                                 resolved["text_ae.hidden"], rng)
-    else:
-        d_img, d_txt = resolved["image_ae.d_img"], 2 * resolved["text_ae.hidden"]
-        dims = (d_img, d_txt) if stage == "mapper-i2t" else (d_txt, d_img)
-        module = MapperGenerator(*dims, resolved["mapper.hidden"], rng)
+    vocab = Vocabulary.from_corpus(load_caption_split(ws / "dataset", "train"))
+    module = BUILDERS[stage](resolved, vocab, np.random.default_rng(0))
     assert list(arrays) == [name for name, _ in module.named_parameters()]
     load_into(module, ckpt)  # shapes match too
     if stage.startswith("mapper"):  # the published mapper maps the training embeddings
@@ -368,19 +373,6 @@ def test_mapper_with_non_finite_output_exits_5(workdir):
 
 
 # -- loading ----------------------------------------------------------------------
-
-# builder of each checkpointed model from a resolved config and an rng (or None)
-BUILDERS = {
-    "image-ae": lambda cfg, vocab, rng: ImageAutoencoder(
-        ImageAEConfig(**section(cfg, "image_ae")), rng),
-    "text-ae": lambda cfg, vocab, rng: TextAutoencoder(
-        len(vocab), cfg["text_ae.embed_dim"], cfg["text_ae.hidden"], rng,
-        max_len=cfg["text_ae.max_len"]),
-    "mapper-i2t": lambda cfg, vocab, rng: MapperGenerator(
-        cfg["image_ae.d_img"], 2 * cfg["text_ae.hidden"], cfg["mapper.hidden"], rng),
-    "mapper-t2i": lambda cfg, vocab, rng: MapperGenerator(
-        2 * cfg["text_ae.hidden"], cfg["image_ae.d_img"], cfg["mapper.hidden"], rng),
-}
 
 
 @pytest.fixture
@@ -474,11 +466,16 @@ def _drop_mapper_i2t(workspace: Workspace):
     workspace.checkpoint("mapper-i2t").unlink()
 
 
-# case -> (direction, input bytes, fault put into the workdir, exit code)
+def _blank_ppm(shrink: int):
+    return lambda path, size: write_ppm(np.zeros((3, size // shrink, size // shrink)), path)
+
+
+# case -> (direction, input bytes or writer of the input, fault put into the workdir, exit code)
 TRANSLATE_FAILURES = {
     "bad-ppm": ("image-to-text", b"not a ppm", None, 3),
+    "small-image": ("image-to-text", _blank_ppm(2), None, 3),
     "caption-over-max-len": ("text-to-image", b"red " * 26, None, 3),
-    "missing-mapper": ("image-to-text", None, _drop_mapper_i2t, 4),
+    "missing-mapper": ("image-to-text", _blank_ppm(1), _drop_mapper_i2t, 4),
 }
 
 
@@ -487,11 +484,10 @@ def test_failed_translate_loads_and_writes_nothing(saved_models, monkeypatch, ca
     workspace, cfg, cfg_path, _ = saved_models
     direction, data, fault, code = TRANSLATE_FAILURES[case]
     source = workspace.root / "input"
-    if data is None:  # a well-formed image the model takes
-        size = ImageAEConfig(**section(cfg, "image_ae")).top_res
-        write_ppm(np.zeros((3, size, size)), source)
-    else:
+    if isinstance(data, bytes):
         source.write_bytes(data)
+    else:
+        data(source, ImageAEConfig(**section(cfg, "image_ae")).top_res)
     if fault is not None:
         fault(workspace)
     loads = []
