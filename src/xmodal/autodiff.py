@@ -216,9 +216,10 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument only, so no overflow at either tail
+    # exp of a non-positive argument only, so no overflow at either tail:
+    # 1/(1+e) for x >= 0 and e/(1+e) below, as e <= 1 picks the numerator
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -228,12 +229,17 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return _unary(a, np.where(mask, a.data, 0.0), lambda: mask.astype(np.float64))
+    out = np.fmax(a.data, 0.0)  # NaN -> 0.0
+    out += 0.0  # -0.0 -> 0.0, so every entry the mask drops reads +0.0
+    return _unary(a, out, lambda: mask.astype(np.float64))
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+    # select-free: multiply by slope where the mask is off and by 1.0 where it is on
     mask = a.data > 0
-    return _unary(a, np.where(mask, a.data, slope * a.data), lambda: np.where(mask, 1.0, slope))
+    factors = (slope, 1.0)
+    return _unary(a, a.data * np.take(factors, mask.view(np.uint8)),
+                  lambda: np.take(factors, mask.view(np.uint8)))
 
 
 def scale(a: Tensor, constant: float) -> Tensor:
@@ -515,6 +521,29 @@ def pairwise_sq_dists(x: Tensor, y: Tensor) -> Tensor:
         y._accumulate(2.0 * (y.data * g.sum(axis=0)[:, None] - g.T @ x.data))
 
     out = _make_node(d, (x, y), backward_fn)
+    return out
+
+
+def rbf_mixture(d: Tensor, bandwidths: Sequence[float]) -> Tensor:
+    """sum_q exp(-d / (2 sigma_q^2)) over squared distances d, as one node.
+
+    Forward and backward add the per-bandwidth terms in bandwidth order, as a
+    chain of scale, exp and add nodes would.
+    """
+    coeffs = [-1.0 / (2.0 * s * s) for s in bandwidths]
+    terms = [np.exp(d.data * c) for c in coeffs]
+    total = terms[0]
+    for k in terms[1:]:
+        total = total + k
+
+    def backward_fn():
+        g = out.grad
+        dd = (g * terms[0]) * coeffs[0]
+        for k, c in zip(terms[1:], coeffs[1:]):
+            dd += (g * k) * c
+        d._accumulate(dd)
+
+    out = _make_node(total, (d,), backward_fn)
     return out
 
 

@@ -33,17 +33,14 @@ class KernelSpec:
 
     def __post_init__(self):
         self.bandwidths = tuple(float(b) for b in self.bandwidths)
+        if not self.bandwidths:
+            raise ValueError("a kernel needs at least one bandwidth")
         if not all(0.0 < b < np.inf for b in self.bandwidths):
             raise ValueError(f"kernel bandwidths must be positive and finite, got {self.bandwidths}")
 
     def gram(self, x: Tensor, y: Tensor) -> Tensor:
         """Differentiable Gram matrix between rows of x and rows of y."""
-        d = ad.pairwise_sq_dists(x, y)
-        total = None
-        for sigma in self.bandwidths:
-            term = ad.exp(ad.scale(d, -1.0 / (2.0 * sigma * sigma)))
-            total = term if total is None else ad.add(total, term)
-        return total
+        return ad.rbf_mixture(ad.pairwise_sq_dists(x, y), self.bandwidths)
 
 
 def _as_batch(x) -> Tensor:
@@ -268,13 +265,16 @@ def train_mmd_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
     kernel = mixture_kernel(sigma0)
 
     for step in range(cfg.steps):
-        if critic:
-            for _ in range(cfg.n_critic):
-                xb = Tensor(_sample(target, cfg.batch, rng))
-                with ad.no_grad():
-                    fake = gen(Tensor(_sample(source, cfg.batch, rng)))
+        if critic and cfg.n_critic > 0:
+            # the generator is fixed for the round: map its source batches in one forward
+            pairs = [(_sample(target, cfg.batch, rng), _sample(source, cfg.batch, rng))
+                     for _ in range(cfg.n_critic)]
+            with ad.no_grad():
+                fakes = gen(Tensor(np.concatenate([s for _, s in pairs]))).data
+            for i, (xt, _) in enumerate(pairs):
+                xb = Tensor(xt)
                 fx = critic.encode(xb)
-                fy = critic.encode(fake)
+                fy = critic.encode(Tensor(fakes[i * cfg.batch:(i + 1) * cfg.batch]))
                 mmd = mmd2_unbiased(fx, fy, kernel)
                 diff = ad.sub(critic.decode(fx), xb)
                 rec = ad.reduce("mean", ad.mul(diff, diff))

@@ -65,6 +65,92 @@ class TestElementwise:
             ad.elementwise("pow", t([1.0]))
 
 
+# NaN, signed zeros and infinities, the smallest subnormals and exp's overflow edge
+EDGE_VALUES = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                        745.0, -745.0, 800.0, -800.0])
+
+
+def activation_inputs():
+    # numpy's short and 0-d loops can treat signed zeros unlike its long ones
+    rng = np.random.default_rng(16)
+    return ([np.concatenate([EDGE_VALUES, rng.normal(scale=4.0, size=2000)]), EDGE_VALUES]
+            + [EDGE_VALUES[i:i + 1] for i in range(EDGE_VALUES.size)]
+            + [np.array(v) for v in EDGE_VALUES])
+
+
+def where_relu(x, g):
+    mask = x > 0
+    return np.where(mask, x, 0.0), g * mask.astype(np.float64)
+
+
+def where_leaky_relu(x, g, slope):
+    mask = x > 0
+    return np.where(mask, x, slope * x), g * np.where(mask, 1.0, slope)
+
+
+def where_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def forward_and_input_grad(op, x, g):
+    # the loss sum(op(x) * g) hands op's backward exactly g
+    v = t(x, grad=True)
+    out = op(v)
+    backward(ad.reduce("sum", ad.mul(out, Tensor(g))))
+    return out.data, v.grad
+
+
+def assert_same_bytes(got, want):
+    assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN edge values
+class TestSelectFreeActivations:
+    """relu, leaky_relu and sigmoid equal their np.where forms bit for bit."""
+
+    def test_relu(self):
+        for x in activation_inputs():
+            g = np.random.default_rng(17).normal(size=x.shape)
+            assert_same_bytes(forward_and_input_grad(ad.relu, x, g), where_relu(x, g))
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 1.5, -0.3])
+    def test_leaky_relu(self, slope):
+        for x in activation_inputs():
+            g = np.random.default_rng(18).normal(size=x.shape)
+            assert_same_bytes(forward_and_input_grad(lambda v: ad.leaky_relu(v, slope), x, g),
+                              where_leaky_relu(x, g, slope))
+
+    def test_sigmoid(self):
+        for x in activation_inputs():
+            g = np.random.default_rng(19).normal(size=x.shape)
+            s = where_sigmoid(x)
+            assert_same_bytes([ad._sigmoid(x)], [s])
+            assert_same_bytes(forward_and_input_grad(ad.sigmoid, x, g), (s, g * (s * (1.0 - s))))
+
+
+class TestRbfMixture:
+    BANDWIDTHS = (0.3, 0.7, 1.0, 2.2, 4.5)
+
+    def composed(self, d):
+        total = None
+        for sigma in self.BANDWIDTHS:
+            term = ad.exp(ad.scale(d, -1.0 / (2.0 * sigma * sigma)))
+            total = term if total is None else ad.add(total, term)
+        return total
+
+    def test_equals_the_composed_graph_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        d, w = rng.uniform(0.0, 6.0, size=(7, 9)), Tensor(rng.normal(size=(7, 9)))
+        results = []
+        for mixture in (lambda v: ad.rbf_mixture(v, self.BANDWIDTHS), self.composed):
+            v = t(d, grad=True)
+            out = mixture(v)
+            backward(ad.reduce("sum", ad.mul(out, w)))
+            results.append((out.data.tobytes(), v.grad.tobytes()))
+        assert results[0] == results[1]
+
+
 class TestMatmul:
     def test_identity(self):
         x = t(np.random.default_rng(1).normal(size=(3, 3)))
@@ -520,6 +606,7 @@ STRUCTURAL_CASES = {
     "leaky_relu": lambda v: ad.leaky_relu(v, 0.2),
     "log": lambda v: ad.log(ad.add(ad.mul(v, v), Tensor(0.5))),
     "pairwise_sq_dists": lambda v: ad.pairwise_sq_dists(v, ad.mul(v, Tensor(0.5))),
+    "rbf_mixture": lambda v: ad.rbf_mixture(ad.mul(v, v), (0.7, 1.9)),
 }
 
 

@@ -64,6 +64,32 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec((1.0, 0.0))
 
+    def test_a_bandwidth_required(self):
+        with pytest.raises(ValueError):
+            KernelSpec(())
+
+    def test_gram_gradient(self):
+        rng = np.random.default_rng(3)
+        y, w = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(4, 5)))
+        kernel = KernelSpec((0.6, 1.5, 3.0))
+        err = gradient_check(lambda v: ad.reduce("sum", ad.mul(kernel.gram(v, y), w)),
+                             Tensor(rng.normal(size=(4, 3))))
+        assert err <= 1e-6
+
+    def test_gram_is_two_nodes(self, monkeypatch):
+        made = []
+        make_node = ad._make_node
+
+        def counting(*args):
+            made.append(args)
+            return make_node(*args)
+
+        monkeypatch.setattr(ad, "_make_node", counting)
+        x = Tensor(np.random.default_rng(4).normal(size=(6, 3)), requires_grad=True)
+        gram = mixture_kernel(1.1).gram(x, x)
+        assert len(made) == 2  # the squared distances and the whole mixture
+        assert gram._parents[0]._parents == (x, x)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_finite_bandwidths_required(self, bad):
         with pytest.raises(ValueError):
@@ -331,6 +357,23 @@ class TestMmdMapper:
         train_mmd_mapper(source, target, cfg, np.random.default_rng(3), log=rows.append)
         mm = [m["value"] for m in rows if m["metric"] == "mmd2"]
         assert np.mean(mm[-20:]) <= 0.5 * np.mean(mm[:20])
+
+    def test_one_generator_forward_per_critic_round(self, monkeypatch):
+        rows = []
+        call = MapperGenerator.__call__
+
+        def counting_call(gen, x):
+            rows.append(x.shape[0])
+            return call(gen, x)
+
+        monkeypatch.setattr(MapperGenerator, "__call__", counting_call)
+        rng = np.random.default_rng(10)
+        source, target = rng.normal(size=(60, 5)), rng.normal(size=(60, 4))
+        cfg = MapperConfig(kind="mmd", steps=2, batch=8, n_critic=3, hidden=8,
+                           critic_hidden=8, critic_dim=4)
+        train_mmd_mapper(source, target, cfg, np.random.default_rng(11))
+        # the bandwidth probe, then per step one critic round of 3 x 8 rows and the generator step
+        assert rows == [60, 24, 8, 24, 8]
 
     def test_critic_clipping_invariant(self):
         rng = np.random.default_rng(4)
