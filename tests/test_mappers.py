@@ -359,21 +359,30 @@ class TestMmdMapper:
         assert np.mean(mm[-20:]) <= 0.5 * np.mean(mm[:20])
 
     def test_one_generator_forward_per_critic_round(self, monkeypatch):
-        rows = []
-        call = MapperGenerator.__call__
+        import xmodal.mappers as mp
+
+        rng = np.random.default_rng(10)
+        source, target = rng.normal(size=(60, 5)), rng.normal(size=(60, 4))
+        rows, drawn = [], []
+        call, sample = MapperGenerator.__call__, mp._sample
 
         def counting_call(gen, x):
             rows.append(x.shape[0])
             return call(gen, x)
 
+        def recording_sample(from_rows, batch, r):
+            drawn.append("target" if from_rows is target else "source")
+            return sample(from_rows, batch, r)
+
         monkeypatch.setattr(MapperGenerator, "__call__", counting_call)
-        rng = np.random.default_rng(10)
-        source, target = rng.normal(size=(60, 5)), rng.normal(size=(60, 4))
+        monkeypatch.setattr(mp, "_sample", recording_sample)
         cfg = MapperConfig(kind="mmd", steps=2, batch=8, n_critic=3, hidden=8,
                            critic_hidden=8, critic_dim=4)
         train_mmd_mapper(source, target, cfg, np.random.default_rng(11))
         # the bandwidth probe, then per step one critic round of 3 x 8 rows and the generator step
         assert rows == [60, 24, 8, 24, 8]
+        # each critic step and generator step still draws its target batch, then its source batch
+        assert drawn == ["target", "source"] * 8
 
     def test_critic_clipping_invariant(self):
         rng = np.random.default_rng(4)
