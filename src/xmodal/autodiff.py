@@ -622,6 +622,44 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     return out
 
 
+def conv3x3_same(x: Tensor, kernels: Tensor) -> Tensor:
+    """conv2d(x, kernels, stride=1, padding=1) for 3x3 kernels, taps expanded on the output side.
+
+    One GEMM of the (9*C_out, C_in) tap bank, rows in (di, dj, C_out) order,
+    over the once-padded input gives every tap's contribution at every padded
+    pixel; output pixel (i, j) sums tap (di, dj) at padded pixel (i+di, j+dj).
+    That is 9*C_out rows per padded pixel, where im2col lays out 9*C_in.
+    """
+    (n, c_in, h, w), (c_out, _, kh, kw) = _conv_shapes("conv3x3_same", x, kernels)
+    if (kh, kw) != (3, 3):
+        raise ShapeError(f"conv3x3_same needs 3x3 kernels, got {kh}x{kw}")
+    xp = np.zeros((n, c_in, h + 2, w + 2))
+    xp[:, :, 1:-1, 1:-1] = x.data
+    xp = xp.reshape(n, c_in, (h + 2) * (w + 2))
+    bank = kernels.data.transpose(2, 3, 0, 1).reshape(9 * c_out, c_in)
+    taps = (bank @ xp).reshape(n, 3, 3, c_out, h + 2, w + 2)
+    out_data = np.zeros((n, c_out, h, w))
+    for di in range(3):
+        for dj in range(3):
+            out_data += taps[:, di, dj, :, di:di + h, dj:dj + w]
+
+    def backward_fn():
+        g_taps = np.zeros((n, 3, 3, c_out, h + 2, w + 2))
+        for di in range(3):
+            for dj in range(3):
+                g_taps[:, di, dj, :, di:di + h, dj:dj + w] = out.grad
+        g_taps = g_taps.reshape(n, 9 * c_out, (h + 2) * (w + 2))
+        if kernels.requires_grad:
+            dbank = np.matmul(g_taps, xp.transpose(0, 2, 1)).sum(axis=0)  # as in conv2d
+            kernels._accumulate(dbank.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
+        if x.requires_grad:
+            dxp = (bank.T @ g_taps).reshape(n, c_in, h + 2, w + 2)
+            x._accumulate(dxp[:, :, 1:-1, 1:-1])
+
+    out = _make_node(out_data, (x, kernels), backward_fn)
+    return out
+
+
 # Along one axis, nearest-neighbour doubling then a 3-tap kernel gives output
 # phase a (row 2i+a) the taps (K0, K1+K2) at a=0 and (K0+K1, K2) at a=1 over the
 # 2-row window at padded row i+a: _PHASE_TAPS[a, t, k] = 1 where window tap t

@@ -88,6 +88,17 @@ class UpsampleConv2dLayer(Conv2dLayer):
         return ad.add_channel_bias(ad.upsample2x_conv3x3(x, self.kernels), self.bias)
 
 
+class Conv3x3Layer(Conv2dLayer):
+    """A 3x3 conv with stride 1 and padding 1 as one `ad.conv3x3_same` node;
+    the parameters are a `Conv2dLayer`'s."""
+
+    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
+        super().__init__(in_ch, out_ch, 3, 1, 1, rng)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return ad.add_channel_bias(ad.conv3x3_same(x, self.kernels), self.bias)
+
+
 class EmbeddingTable(Module):
     """Trainable token embeddings."""
 

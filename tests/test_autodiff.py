@@ -388,6 +388,65 @@ class TestUpsample2xConv3x3:
         assert out._backward_fn is None and out._parents == () and not out.requires_grad
 
 
+class TestConv3x3Same:
+    @pytest.mark.parametrize("n, c_in, c_out, h, w", [
+        (16, 8, 3, 32, 32),    # the default generator's to_img2
+        (16, 16, 3, 16, 16),   # to_img1
+        (16, 32, 3, 8, 8),     # to_img0
+        (1, 8, 3, 32, 32),     # one text-to-image translate
+        (3, 4, 5, 3, 6),       # non-square
+        (2, 3, 7, 4, 4),       # more output channels than input channels
+        (4, 5, 3, 1, 1),       # one pixel
+    ], ids=["to_img2", "to_img1", "to_img0", "batch1", "non_square", "c_out_gt_c_in",
+            "one_pixel"])
+    def test_matches_conv2d(self, n, c_in, c_out, h, w):
+        rng = np.random.default_rng(44)
+        x_data, k_data = rng.normal(size=(n, c_in, h, w)), rng.normal(size=(c_out, c_in, 3, 3))
+        g = Tensor(rng.normal(size=(n, c_out, h, w)))
+        results = []
+        for op in (ad.conv3x3_same, lambda x, k: ad.conv2d(x, k, 1, 1)):
+            x, k = t(x_data, grad=True), t(k_data, grad=True)
+            out = op(x, k)
+            backward(ad.reduce("sum", ad.mul(out, g)))
+            results.append((out.data, x.grad, k.grad))
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, atol=1e-12 * np.abs(want).max(), rtol=0)
+
+    def test_gradients_of_input_and_kernels(self):
+        rng = np.random.default_rng(45)
+        x, k = rng.normal(size=(2, 3, 3, 4)), rng.normal(size=(2, 3, 3, 3))
+        w = Tensor(rng.normal(size=(2, 2, 3, 4)))  # weighs every output pixel differently
+
+        def loss(out):
+            return ad.reduce("sum", ad.mul(out, w))
+
+        assert gradient_check(lambda v: loss(ad.conv3x3_same(v, Tensor(k))), t(x)) <= 1e-6
+        assert gradient_check(lambda v: loss(ad.conv3x3_same(Tensor(x), v)), t(k)) <= 1e-6
+
+    @pytest.mark.parametrize("x_shape, k_shape", [
+        ((2, 4, 4), (1, 2, 3, 3)),         # unbatched input
+        ((1, 2, 4, 4), (1, 2, 4, 4)),      # not a 3x3 kernel
+        ((1, 2, 4, 4), (1, 3, 3, 3)),      # channel mismatch
+    ], ids=["unbatched", "kernel_4x4", "channel_mismatch"])
+    def test_shape_errors(self, x_shape, k_shape):
+        with pytest.raises(ShapeError):
+            ad.conv3x3_same(t(np.ones(x_shape)), t(np.ones(k_shape)))
+
+    def test_closure_keeps_padded_input_and_bank_only(self):
+        x, k = t(np.ones((2, 3, 4, 5)), grad=True), t(np.ones((7, 3, 3, 3)), grad=True)
+        out = ad.conv3x3_same(x, k)
+        held = [c.cell_contents for c in out._backward_fn.__closure__]
+        arrays = sorted(v.shape for v in held if isinstance(v, np.ndarray))
+        assert arrays == [(2, 3, 6 * 7), (9 * 7, 3)]  # padded input, tap bank
+
+    def test_no_grad_keeps_no_closure(self):
+        x, k = t(np.ones((2, 3, 4, 4)), grad=True), t(np.ones((5, 3, 3, 3)), grad=True)
+        with ad.no_grad():
+            out = ad.conv3x3_same(x, k)
+        assert out._backward_fn is None and out._parents == () and not out.requires_grad
+
+
 class TestReduce:
     def test_sum_of_zeros(self):
         assert ad.reduce("sum", t(np.zeros((3, 2)))).item() == 0.0

@@ -194,6 +194,20 @@ class TestGeneratorStack:
         for got, want in zip(images, model.generator(c, z)):
             np.testing.assert_allclose(got.data, want.data, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("batch", [16, 1])
+    def test_heads_match_the_padded_conv2d(self, batch, monkeypatch):
+        # the default generator, run once through the tap-bank head op and
+        # once through a padded 3x3 conv2d
+        cfg = ImageAEConfig()
+        model = ImageAutoencoder(cfg, np.random.default_rng(19))
+        rng = np.random.default_rng(20)
+        c = Tensor(rng.normal(size=(batch, cfg.d_c)))
+        z = Tensor(rng.normal(size=(batch, cfg.d_z)))
+        images = model.generator(c, z)
+        monkeypatch.setattr(ad, "conv3x3_same", lambda x, k: ad.conv2d(x, k, 1, 1))
+        for got, want in zip(images, model.generator(c, z), strict=True):
+            np.testing.assert_allclose(got.data, want.data, atol=1e-12, rtol=0)
+
 
 def test_parameter_names_shapes_and_initial_values_pinned():
     # checkpoints written before the joins became one op keep loading: same
