@@ -28,7 +28,7 @@ from .mappers import (MapperConfig, MapperGenerator, map_embedding, median_heuri
                       mixture_kernel, mmd2_biased, train_gan_mapper, train_mmd_mapper)
 from .metrics import MetricReport, bleu, class_accuracy, rouge_l, two_sample_test
 from .text_ae import (TextAutoencoder, Vocabulary, decode_text, detokenize, encode_text,
-                      tokenize, train_text_autoencoder)
+                      encode_texts, tokenize, train_text_autoencoder)
 
 TRAIN_STAGES = ("image-ae", "text-ae", "mapper-i2t", "mapper-t2i")
 DIRECTIONS = ("image-to-text", "text-to-image")
@@ -141,7 +141,7 @@ def load_mapper(ws: Workspace, cfg: dict, stage: str) -> MapperGenerator:
 
 def encode_caption_set(model: TextAutoencoder, vocab: Vocabulary,
                        records) -> LabeledEmbeddingSet:
-    embs = np.stack([encode_text(model, vocab.encode(tokens)) for _, tokens in records])
+    embs = encode_texts(model, [vocab.encode(tokens) for _, tokens in records])
     labels = np.asarray([class_id for class_id, _ in records], dtype=np.uint32)
     return LabeledEmbeddingSet(embs, labels)
 
@@ -156,7 +156,7 @@ def export_embeddings(ws: Workspace, cfg: dict, split: str, img_model: ImageAuto
                       txt_model: TextAutoencoder, vocab: Vocabulary
                       ) -> tuple[LabeledEmbeddingSet, LabeledEmbeddingSet]:
     dataset = _require_dataset(ws, cfg)
-    images, labels = load_image_split(dataset, split)
+    images, labels = load_image_split(dataset, split, cfg["data.image_size"])
     img_set = encode_image_set(img_model, images, labels)
     txt_set = encode_caption_set(txt_model, vocab, _captions(ws, cfg, split))
     ws.embeddings.mkdir(parents=True, exist_ok=True)
@@ -185,7 +185,7 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
 
     # Load and check every input before the stage writes anything.
     if stage == "image-ae":
-        images, _ = load_image_split(dataset, "train")
+        images, _ = load_image_split(dataset, "train", cfg["data.image_size"])
         if cfg["image_ae.batch"] > len(images):
             raise ConfigError(f"image_ae.batch={cfg['image_ae.batch']} exceeds the "
                               f"{len(images)} images of the training split")
@@ -322,6 +322,9 @@ def cmd_evaluate(ws: Workspace, cfg: dict, seed: int, split: str) -> int:
         full_sets["txt"].append(txt_set)
         if part == split:
             split_sets["img"], split_sets["txt"] = img_set, txt_set
+            if min(len(img_set.labels), len(txt_set.labels)) < 2:  # for the two-sample test
+                raise FormatError(f"{ws.dataset_dir(cfg) / split}: {len(img_set.labels)} images and "
+                                  f"{len(txt_set.labels)} captions, evaluate needs 2 of each")
     reference = {
         mod: LabeledEmbeddingSet(np.concatenate([s.embeddings for s in sets]),
                                  np.concatenate([s.labels for s in sets]))

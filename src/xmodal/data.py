@@ -319,8 +319,8 @@ def read_manifest(dataset_dir) -> dict:
     return out
 
 
-def load_image_split(dataset_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
-    """All images of a split as ((N, 3, S, S) array, (N,) labels), file order."""
+def load_image_split(dataset_dir, split: str, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """All images of a split as ((N, 3, size, size) array, (N,) labels), file order."""
     root = Path(dataset_dir) / split
     index = root / "images.tsv"
     if not index.is_file():
@@ -328,6 +328,9 @@ def load_image_split(dataset_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
     images, labels = [], []
     for class_id, fname in _class_rows(index):
         images.append(read_ppm(root / "images" / fname))
+        if images[-1].shape != (3, size, size):
+            raise FormatError(f"{root / 'images' / fname}: image is {images[-1].shape[2]}x"
+                              f"{images[-1].shape[1]}, the dataset takes {size}x{size}")
         labels.append(class_id)
     if not images:
         raise FormatError(f"{index}: empty split")

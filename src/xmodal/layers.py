@@ -153,19 +153,21 @@ class LSTMCell(Module):
         return Tensor(z), Tensor(z.copy())
 
 
-def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False) -> list[Tensor]:
-    """Run a cell over a time-major (T, batch, dim) tensor; returns h_t per step."""
+def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False,
+             state: tuple[Tensor, Tensor] | None = None) -> list[Tensor]:
+    """Run a cell over a time-major (T, batch, dim) tensor from `state` (h, c),
+    zeros if None; returns h_t per step. Step t narrows rows t*batch:(t+1)*batch
+    of the input, viewed once as (T*batch, dim)."""
     if inputs.data.ndim != 3:
         raise ShapeError(f"lstm_run expects (T, batch, dim), got {inputs.shape}")
     t_steps, batch, dim = inputs.shape
     if t_steps < 1:
         raise ShapeError("empty sequence")
-    h, c = cell.zero_state(batch)
-    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
+    h, c = cell.zero_state(batch) if state is None else state
+    rows = ad.reshape(inputs, (t_steps * batch, dim))
     outputs: list = [None] * t_steps
-    for t in order:
-        x_t = ad.reshape(ad.narrow(inputs, 0, t, 1), (batch, dim))
-        h, c = cell.step(x_t, h, c)
+    for t in reversed(range(t_steps)) if reverse else range(t_steps):
+        h, c = cell.step(ad.narrow(rows, 0, t * batch, batch), h, c)
         outputs[t] = h
     return outputs
 
@@ -176,10 +178,8 @@ def bilstm_encode(forward_cell: LSTMCell, backward_cell: LSTMCell, inputs: Tenso
     Output is (T, batch, 2*hidden): position t holds the forward state after
     reading x_0..x_t next to the backward state after reading x_{T-1}..x_t.
     """
-    fwd = lstm_run(forward_cell, inputs, reverse=False)
-    bwd = lstm_run(backward_cell, inputs, reverse=True)
-    steps = [ad.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    return ad.stack0(steps)
+    steps = zip(lstm_run(forward_cell, inputs), lstm_run(backward_cell, inputs, reverse=True))
+    return ad.stack0([ad.concat([f, b], axis=1) for f, b in steps])
 
 
 def max_over_time(h: Tensor) -> Tensor:

@@ -15,7 +15,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .errors import FormatError, read_utf8, write_atomic
-from .layers import DenseLayer, EmbeddingTable, LSTMCell, Module, bilstm_encode, max_over_time
+from .layers import (DenseLayer, EmbeddingTable, LSTMCell, Module, bilstm_encode, lstm_run,
+                     max_over_time)
 from .optim import Adam, TrainingRun
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -86,33 +87,23 @@ class TextAutoencoder(Module):
 
     def encode_ids(self, ids: np.ndarray) -> Tensor:
         """Encode a (T, batch) id matrix to (batch, 2*hidden) embeddings."""
-        ids = np.asarray(ids)
-        if ids.ndim != 2 or ids.shape[0] < 1:
-            raise ShapeError(f"encode_ids expects a non-empty (T, batch) matrix, got {ids.shape}")
-        hidden_seq = bilstm_encode(self.enc_fwd, self.enc_bwd, self.embed(ids))
-        return max_over_time(hidden_seq)
+        return max_over_time(bilstm_encode(self.enc_fwd, self.enc_bwd, self.embed(ids)))
 
     # -- decoding ----------------------------------------------------------
 
     def _dec_start(self, s: Tensor) -> tuple[Tensor, Tensor]:
         # sentence embedding becomes the initial hidden state directly
         # (decoder hidden size equals the embedding size); cell starts at zero
-        batch = s.shape[0]
-        return s, Tensor(np.zeros((batch, self.sentence_dim)))
+        return s, Tensor(np.zeros((s.shape[0], self.sentence_dim)))
 
     def decoder_logits(self, s: Tensor, input_ids: np.ndarray) -> Tensor:
         """Teacher-forced decoder: time-major (T*batch, vocab) logits.
 
-        The LSTM runs one step per input token; the output layer then runs
-        once over all T*batch states, so row t*batch + b is step t of
-        sequence b.
+        One embedding lookup and one `lstm_run` from the sentence embedding;
+        the output layer then runs once over all T*batch states, so row
+        t*batch + b is step t of sequence b.
         """
-        input_ids = np.asarray(input_ids)
-        h, c = self._dec_start(s)
-        states = []
-        for t in range(input_ids.shape[0]):
-            h, c = self.dec.step(self.embed(input_ids[t]), h, c)
-            states.append(h)
+        states = lstm_run(self.dec, self.embed(input_ids), state=self._dec_start(s))
         return self.out(ad.concat(states, axis=0))
 
 
@@ -125,16 +116,23 @@ def decoder_loss(model: TextAutoencoder, s: Tensor, input_ids: np.ndarray,
     return ad.scale(ad.neg(total), 1.0 / target_ids.size)
 
 
+def encode_texts(model: TextAutoencoder, seqs) -> np.ndarray:
+    """Sentence embeddings (N, 2*hidden) of N id sequences (1 <= len <= max_len
+    each), row i for sequence i; one encoder pass per length group."""
+    seqs = [np.asarray(ids, dtype=np.int64) for ids in seqs]
+    for ids in seqs:
+        if ids.ndim != 1 or not 1 <= ids.size <= model.max_len:
+            raise ShapeError(f"encode_text expects 1 to {model.max_len} ids, got shape {ids.shape}")
+    out = np.empty((len(seqs), model.sentence_dim))
+    with ad.no_grad():
+        for group in _length_groups(seqs, range(len(seqs))):
+            out[group] = model.encode_ids(np.stack([seqs[i] for i in group], axis=1)).data
+    return out
+
+
 def encode_text(model: TextAutoencoder, token_ids: np.ndarray) -> np.ndarray:
     """Sentence embedding of one id sequence (1 <= len <= max_len)."""
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    if token_ids.ndim != 1 or token_ids.size < 1:
-        raise ShapeError("encode_text expects a non-empty id sequence")
-    if token_ids.size > model.max_len:
-        raise ShapeError(f"sequence length {token_ids.size} exceeds max_len {model.max_len}")
-    with ad.no_grad():
-        s = model.encode_ids(token_ids[:, None])
-    return s.data[0].copy()
+    return encode_texts(model, [token_ids])[0]
 
 
 def decode_text(model: TextAutoencoder, s: np.ndarray) -> list[int]:
@@ -153,8 +151,7 @@ def decode_text(model: TextAutoencoder, s: np.ndarray) -> list[int]:
         for _ in range(model.max_len):
             h, c = model.dec.step(model.embed(prev), h, c)
             logits = model.out(h).data[0].copy()
-            logits[Vocabulary.PAD] = -np.inf
-            logits[Vocabulary.BOS] = -np.inf
+            logits[[Vocabulary.PAD, Vocabulary.BOS]] = -np.inf
             token = int(np.argmax(logits))
             if token == Vocabulary.EOS:
                 break
@@ -170,19 +167,20 @@ def roundtrip(model: TextAutoencoder, token_ids: np.ndarray) -> list[int]:
 # -- training ---------------------------------------------------------------
 
 
+def _length_groups(seqs: list[np.ndarray], order) -> list[list[int]]:
+    """The indices in `order` grouped by sequence length, shortest first, each in `order`."""
+    groups: dict[int, list[int]] = {}
+    for idx in order:
+        groups.setdefault(len(seqs[idx]), []).append(int(idx))
+    return [groups[length] for length in sorted(groups)]
+
+
 def _length_batches(records_ids: list[np.ndarray], batch_size: int,
                     rng: np.random.Generator) -> list[list[int]]:
     """Deterministic equal-length batches from a seeded permutation."""
-    perm = rng.permutation(len(records_ids))
-    by_len: dict[int, list[int]] = {}
-    for idx in perm:
-        by_len.setdefault(len(records_ids[idx]), []).append(int(idx))
-    batches = []
-    for length in sorted(by_len):
-        group = by_len[length]
-        for i in range(0, len(group), batch_size):
-            batches.append(group[i:i + batch_size])
-    return batches
+    groups = _length_groups(records_ids, rng.permutation(len(records_ids)))
+    return [group[i:i + batch_size] for group in groups
+            for i in range(0, len(group), batch_size)]
 
 
 def train_text_autoencoder(records: list[tuple[int, list[str]]], vocab: Vocabulary,
@@ -203,18 +201,13 @@ def train_text_autoencoder(records: list[tuple[int, list[str]]], vocab: Vocabula
         epoch_loss = 0.0
         epoch_tokens = 0
         for batch_idx in batches:
-            seqs = [ids[i] for i in batch_idx]
-            length = len(seqs[0])
-            tokens = np.stack(seqs, axis=1)  # (T, B)
-            bos = np.full((1, tokens.shape[1]), Vocabulary.BOS, dtype=np.int64)
-            eos = np.full((1, tokens.shape[1]), Vocabulary.EOS, dtype=np.int64)
-            input_ids = np.concatenate([bos, tokens], axis=0)
-            target_ids = np.concatenate([tokens, eos], axis=0)
-
-            s = model.encode_ids(tokens)
-            loss = decoder_loss(model, s, input_ids, target_ids)
+            tokens = np.stack([ids[i] for i in batch_idx], axis=1)  # (T, B)
+            bos, eos = (np.full((1, len(batch_idx)), v, dtype=np.int64)
+                        for v in (Vocabulary.BOS, Vocabulary.EOS))
+            loss = decoder_loss(model, model.encode_ids(tokens), np.concatenate([bos, tokens]),
+                                np.concatenate([tokens, eos]))
             value = run.minimize(opt, loss, f"text autoencoder loss at epoch {epoch}")
-            n_tok = len(batch_idx) * (length + 1)
+            n_tok = tokens.size + len(batch_idx)  # B*(T+1) targets
             epoch_loss += value * n_tok
             epoch_tokens += n_tok
         run.emit("ce_epoch", epoch_loss / epoch_tokens)

@@ -169,6 +169,32 @@ class TestExitCodes:
         assert main(["train", "--stage", "mapper-t2i", "--config", cfg]) == 3
         assert published() == before
 
+    @pytest.mark.parametrize("case", ["mixed", "uniform"])
+    def test_dataset_image_of_another_size_exits_3(self, workdir, case):
+        ws, cfg = workdir
+        train_stages(cfg, TRAIN_STAGES)
+        images = sorted((ws / "dataset" / "train" / "images").iterdir())
+        for path in images[:1] if case == "mixed" else images:
+            write_ppm(np.zeros((3, 16, 16)), path)
+        for command in (["train", "--stage", "image-ae"], ["train", "--stage", "mapper-i2t"],
+                        ["evaluate", "--split", "test"]):
+            assert main(command + ["--config", cfg]) == 3, command
+
+    @pytest.mark.parametrize("names", [("captions.tsv",), ("images.tsv",),
+                                       ("captions.tsv", "images.tsv")])
+    def test_evaluate_on_a_split_of_one_exits_3(self, workdir, names):
+        ws, cfg = workdir
+        train_stages(cfg, TRAIN_STAGES)
+        assert main(["evaluate", "--split", "test", "--config", cfg]) == 0
+        report = ws / "reports" / "eval_test.csv"
+        before = report.read_bytes()
+        for name in names:
+            index = ws / "dataset" / "test" / name
+            index.write_text(index.read_text().splitlines(keepends=True)[0])
+        assert main(["evaluate", "--split", "test", "--config", cfg]) == 3
+        assert report.read_bytes() == before
+        assert list(report.parent.iterdir()) == [report]
+
     def test_image_batch_over_training_split_exits_2(self, workdir):
         ws, cfg = workdir
         assert main(["datagen", "--config", cfg]) == 0  # 24 training images

@@ -77,7 +77,7 @@ class TestColorShapes:
     def test_split_loading(self, tmp_path):
         spec = ColorShapesSpec(samples_per_class=2, seed=3)
         root = generate_colorshapes(spec, tmp_path / "ds")
-        images, labels = load_image_split(root, "train")
+        images, labels = load_image_split(root, "train", spec.image_size)
         assert images.shape == (24, 3, 32, 32)
         assert sorted(set(labels)) == spec.train_classes()
         records = load_caption_split(root, "test")

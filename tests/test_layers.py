@@ -166,9 +166,9 @@ class TestLSTMCell:
         lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3))))
         assert calls == {"matmul": 5, "transpose": 0}
 
-    def test_run_records_eight_nodes_per_step(self, monkeypatch):
+    def test_run_records_seven_nodes_per_step_and_one_per_run(self, monkeypatch):
         # concat, matmul, add_rowvec, lstm_pointwise and two narrows in the step,
-        # plus lstm_run's narrow and reshape of the input
+        # plus lstm_run's narrow of the input rows; one reshape of the input per run
         made = []
 
         def counted(*args, _fn=ad._make_node):
@@ -178,7 +178,7 @@ class TestLSTMCell:
         monkeypatch.setattr(ad, "_make_node", counted)
         cell = LSTMCell(3, 4, rng_for(11))
         lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3)), requires_grad=True))
-        assert len(made) == 8 * 5
+        assert len(made) == 7 * 5 + 1
         assert all(node.requires_grad for node in made)
 
     def test_run_is_bit_identical_to_the_composed_step(self, monkeypatch):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodal import autodiff as ad
-from xmodal.autodiff import ShapeError, Tensor
+from xmodal.autodiff import ShapeError, Tensor, backward
 from xmodal.errors import FormatError
 from xmodal.layers import bilstm_encode
 from xmodal.text_ae import (TextAutoencoder, Vocabulary, decode_text, decoder_loss, detokenize,
-                            encode_text, roundtrip, tokenize, train_text_autoencoder)
+                            encode_text, encode_texts, roundtrip, tokenize,
+                            train_text_autoencoder)
 
 from helpers import gradient_check
 
@@ -116,6 +117,29 @@ class TestEncode:
             assert np.all(prefix <= full + 1e-15)
 
 
+    @pytest.mark.parametrize("bad", [[], list(range(4, 30))], ids=["empty", "over-long"])
+    def test_a_bad_sequence_in_a_set_is_rejected(self, bad):
+        vocab = Vocabulary.from_corpus(CORPUS)
+        model = make_model(vocab)
+        good = [vocab.encode(tokens) for _, tokens in CORPUS]
+        with pytest.raises(ShapeError):
+            encode_texts(model, good[:2] + [np.asarray(bad, dtype=np.int64)] + good[2:])
+
+    def test_set_equals_one_at_a_time_in_record_order(self, monkeypatch):
+        vocab = Vocabulary.from_corpus(CORPUS)
+        model = make_model(vocab, seed=9)
+        rng = np.random.default_rng(9)
+        lengths = [3, 5, 2, 3, 2, 5, 7, 2, 3, 5]  # 2, 3 and 5 interleaved; 7 once
+        seqs = [rng.integers(0, len(vocab), size=n) for n in lengths]
+        want = np.stack([encode_text(model, ids) for ids in seqs])
+        calls = []
+        encode_ids = model.encode_ids
+        monkeypatch.setattr(model, "encode_ids", lambda ids: calls.append(ids.shape) or encode_ids(ids))
+        got = encode_texts(model, seqs)
+        assert calls == [(2, 3), (3, 3), (5, 3), (7, 1)]  # one pass per length group
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
 class TestDecode:
     def test_deterministic(self):
         vocab = Vocabulary.from_corpus(CORPUS)
@@ -188,6 +212,47 @@ class TestDecoderLoss:
         s = rng.normal(size=(3, model.sentence_dim))
         loss = decoder_loss(model, Tensor(s), input_ids, target_ids).item()
         assert abs(loss - self.per_step_oracle(model, s, input_ids, target_ids)) <= 1e-12
+
+    @staticmethod
+    def per_step_logits(model, s, input_ids):
+        """The decoder as its own loop, one embedding lookup per step."""
+        h, c = model._dec_start(s)
+        states = []
+        for t in range(input_ids.shape[0]):
+            h, c = model.dec.step(model.embed(input_ids[t]), h, c)
+            states.append(h)
+        return model.out(ad.concat(states, axis=0))
+
+    @staticmethod
+    def teacher_forced(logits_fn, vocab, tokens):
+        """Logits of a pass over (T, batch) `tokens` from their own encoding, then
+        every parameter gradient of a weighted sum of the logits."""
+        model = make_model(vocab, seed=14)
+        bos = np.full((1, tokens.shape[1]), Vocabulary.BOS, dtype=np.int64)
+        logits = logits_fn(model, model.encode_ids(tokens), np.concatenate([bos, tokens]))
+        weights = np.random.default_rng(15).normal(size=logits.shape)
+        backward(ad.reduce("sum", ad.mul(logits, Tensor(weights))))
+        return {"logits": logits.data, **{name: p.grad for name, p in model.named_parameters()}}
+
+    def test_logits_and_gradients_bit_equal_to_a_per_step_loop(self):
+        # each caption alone, as training at batch 1 feeds it
+        vocab = Vocabulary.from_corpus(CORPUS)
+        for _, tokens in CORPUS:
+            ids = vocab.encode(tokens)[:, None]
+            want = self.teacher_forced(self.per_step_logits, vocab, ids)
+            got = self.teacher_forced(TextAutoencoder.decoder_logits, vocab, ids)
+            assert all(np.array_equal(got[k], want[k]) for k in want), tokens
+
+    def test_batch_with_repeated_tokens_moves_only_the_table_gradient(self):
+        # One lookup adds the rows of a token in step order, where the loop's per-step
+        # lookups added them from the last step back: a row that three or more steps
+        # share may differ in its last bits.
+        vocab = Vocabulary.from_corpus(CORPUS)
+        tokens = np.random.default_rng(16).integers(4, len(vocab), size=(6, 3))
+        want = self.teacher_forced(self.per_step_logits, vocab, tokens)
+        got = self.teacher_forced(TextAutoencoder.decoder_logits, vocab, tokens)
+        assert all(np.array_equal(got[k], want[k]) for k in want if k != "embed.table")
+        np.testing.assert_allclose(got["embed.table"], want["embed.table"], rtol=0, atol=1e-15)
 
     def test_gradient_wrt_a_decoder_gate_weight(self):
         vocab = Vocabulary.from_corpus(CORPUS)
