@@ -122,7 +122,7 @@ def encode_texts(model: TextAutoencoder, seqs) -> np.ndarray:
     seqs = [np.asarray(ids, dtype=np.int64) for ids in seqs]
     for ids in seqs:
         if ids.ndim != 1 or not 1 <= ids.size <= model.max_len:
-            raise ShapeError(f"encode_text expects 1 to {model.max_len} ids, got shape {ids.shape}")
+            raise ShapeError(f"encode_texts expects 1 to {model.max_len} ids, got shape {ids.shape}")
     out = np.empty((len(seqs), model.sentence_dim))
     with ad.no_grad():
         for group in _length_groups(seqs, range(len(seqs))):
@@ -151,7 +151,8 @@ def decode_text(model: TextAutoencoder, s: np.ndarray) -> list[int]:
         for _ in range(model.max_len):
             h, c = model.dec.step(model.embed(prev), h, c)
             logits = model.out(h).data[0].copy()
-            logits[[Vocabulary.PAD, Vocabulary.BOS]] = -np.inf
+            logits[Vocabulary.PAD] = -np.inf
+            logits[Vocabulary.BOS] = -np.inf
             token = int(np.argmax(logits))
             if token == Vocabulary.EOS:
                 break

@@ -181,7 +181,8 @@ class TestExitCodes:
             assert main(command + ["--config", cfg]) == 3, command
 
     @pytest.mark.parametrize("names", [("captions.tsv",), ("images.tsv",),
-                                       ("captions.tsv", "images.tsv")])
+                                       ("captions.tsv", "images.tsv")],
+                             ids=["captions", "images", "both"])
     def test_evaluate_on_a_split_of_one_exits_3(self, workdir, names):
         ws, cfg = workdir
         train_stages(cfg, TRAIN_STAGES)

@@ -116,7 +116,6 @@ class TestEncode:
             full = max_over_time(Tensor(hidden)).data
             assert np.all(prefix <= full + 1e-15)
 
-
     @pytest.mark.parametrize("bad", [[], list(range(4, 30))], ids=["empty", "over-long"])
     def test_a_bad_sequence_in_a_set_is_rejected(self, bad):
         vocab = Vocabulary.from_corpus(CORPUS)
