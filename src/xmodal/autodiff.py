@@ -17,7 +17,9 @@ and structural changes go through explicit ops (reshape, concat, narrow).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Optional, Sequence
+from functools import lru_cache
+from itertools import product
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -581,132 +583,122 @@ def _col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, 
     return acc
 
 
-def _conv_shapes(op: str, x: Tensor, kernels: Tensor) -> tuple:
+class _TapTable(NamedTuple):
+    """Where each stored kernel tap of one layer kind goes: the input, padded by
+    `pad`, is cut into `window`-sized im2col slots; the bank block of entry
+    (a, b, i, j, first) is read at slot-grid offset (i, j) into
+    out[:, :, a::u, b::u], assigned when `first`, else added. `fold` maps the
+    kh*kw stored taps to the (entry, slot) bank taps, None for the identity."""
+    pad: int
+    window: tuple
+    entries: tuple
+    fold: Optional[np.ndarray]
+
+
+def _axis_taps(k: int, padding: int, upsample: int, output_side: bool) -> tuple:
+    """One axis of a tap table: each entry's (phase, first input row), the
+    fold[e, slot, t] = 1 where stored tap t lands, and the padding they read.
+
+    Output row u*i + a reads input row i + (a - padding + t) // u at tap t. An
+    input-side entry is one phase, its taps in a window; an output-side entry
+    is one tap, one slot wide (no upsampling there).
+    """
+    if output_side:
+        return [(0, t - padding) for t in range(k)], np.eye(k)[:, None, :], padding
+    rows = [[(a - padding + t) // upsample for t in range(k)] for a in range(upsample)]
+    width = 1 + max(r[-1] - r[0] for r in rows)
+    fold = np.zeros((upsample, width, k))
+    for a, r in enumerate(rows):
+        fold[a, np.subtract(r, r[0]), range(k)] = 1.0
+    # output i < ho / u = h + (2 * padding + 1 - k) / u reads rows i + r[0] .. i + r[0] + width - 1
+    pad = max(max(-r[0], (2 * padding + 1 - k) // upsample + r[0] + width - 1) for r in rows)
+    return [(a, r[0]) for a, r in enumerate(rows)], fold, pad
+
+
+@lru_cache(maxsize=None)
+def _tap_table(kh: int, kw: int, stride: int, padding: int, upsample: int,
+               output_side: bool) -> _TapTable:
+    if upsample > 1 and (stride != 1 or (2 * padding + 1 - kh) % upsample
+                         or (2 * padding + 1 - kw) % upsample):
+        raise ShapeError(f"conv2d: upsample {upsample} needs stride 1 and an output size "
+                         "divisible by it")
+    (rows, fold_h, pad_h), (cols, fold_w, pad_w) = (
+        _axis_taps(k, padding, upsample, output_side) for k in (kh, kw))
+    pad = max(pad_h, pad_w)  # `padding` itself without upsampling
+    entries = []
+    for (a, i), (b, j) in product(rows, cols):
+        entries.append((a, b, i + pad, j + pad, all(e[:2] != (a, b) for e in entries)))
+    fold = np.einsum("atk,bul->klabtu", fold_h, fold_w).reshape(kh * kw, -1)
+    identity = fold.shape[1] == kh * kw and np.array_equal(fold, np.eye(kh * kw))
+    return _TapTable(pad, (fold_h.shape[1], fold_w.shape[1]), tuple(entries),
+                     None if identity else fold)
+
+
+def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
+           upsample: int = 1) -> Tensor:
+    """2-D cross-correlation (no kernel flip) over (N,C,H,W) input, nearest-neighbour
+    upsampled `upsample` times first without building the upsampled tensor.
+
+    One GEMM of the tap table's bank runs over the padded input, im2col'd when
+    the window is wider than 1; each entry then puts its block into the output.
+    Taps go to the output side (one slot, C_out rows each: kn2row) only at
+    stride 1 without upsampling and when C_out < C_in, where that GEMM is the
+    smaller one.
+    """
     if kernels.data.ndim != 4:
-        raise ShapeError(f"{op} kernels must be (C_out, C_in, kh, kw), got {kernels.shape}")
+        raise ShapeError(f"conv2d kernels must be (C_out, C_in, kh, kw), got {kernels.shape}")
     if x.data.ndim != 4:
-        raise ShapeError(f"{op} input must be (N, C, H, W), got {x.shape}")
+        raise ShapeError(f"conv2d input must be (N, C, H, W), got {x.shape}")
     if kernels.shape[1] != x.shape[1]:
-        raise ShapeError(f"{op} channel mismatch: input {x.shape[1]}, kernels {kernels.shape[1]}")
-    return x.shape, kernels.shape
-
-
-def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation (no kernel flip) over (N,C,H,W) input."""
-    (n, c_in, h, w), (c_out, _, kh, kw) = _conv_shapes("conv2d", x, kernels)
-    ho = _conv_out_size(h, kh, stride, padding)
-    wo = _conv_out_size(w, kw, stride, padding)
-
-    if padding:
-        xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding:-padding, padding:-padding] = x.data
+        raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, kernels {kernels.shape[1]}")
+    (n, c_in, h, w), (c_out, _, kh, kw) = x.shape, kernels.shape
+    ho = _conv_out_size(upsample * h, kh, stride, padding)
+    wo = _conv_out_size(upsample * w, kw, stride, padding)
+    table = _tap_table(kh, kw, stride, padding, upsample, stride == upsample == 1 and c_out < c_in)
+    pad, (wh, ww), entries = table.pad, table.window, table.entries
+    if pad:
+        xp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad))
+        xp[:, :, pad:-pad, pad:-pad] = x.data
     else:
         xp = x.data
     xp_shape = xp.shape  # backward needs only the shape: the padded copy goes with the forward
-    cols = _im2col(xp, kh, kw, stride, ho, wo)                 # (N, C*kh*kw, P)
-    wmat = kernels.data.reshape(c_out, c_in * kh * kw)
-    out_data = (wmat @ cols).reshape(n, c_out, ho, wo)         # (C_out, K) @ (N, K, P)
+    gh, gw = (xp_shape[2] - wh) // stride + 1, (xp_shape[3] - ww) // stride + 1
+    im2col = (wh, ww, stride) != (1, 1, 1)
+    cols = _im2col(xp, wh, ww, stride, gh, gw) if im2col else xp.reshape(n, c_in, gh * gw)
+    folded = kernels.data if table.fold is None else kernels.data.reshape(c_out * c_in, -1) @ table.fold
+    n_e, slots = len(entries), wh * ww
+    bank = folded.reshape(c_out, c_in, n_e, slots).transpose(2, 0, 1, 3).reshape(n_e * c_out, -1)
+    y = bank @ cols                                            # (E*C_out, K) @ (N, K, G)
+    hu, wu = ho // upsample, wo // upsample
+    if n_e == 1:
+        out_data = y.reshape(n, c_out, ho, wo)
+    else:
+        y = y.reshape(n, n_e, c_out, gh, gw)
+        out_data = np.empty((n, c_out, ho, wo))
+        for e, (a, b, i, j, first) in enumerate(entries):
+            if first:
+                out_data[:, :, a::upsample, b::upsample] = y[:, e, :, i:i + hu, j:j + wu]
+            else:
+                out_data[:, :, a::upsample, b::upsample] += y[:, e, :, i:i + hu, j:j + wu]
 
     def backward_fn():
-        g = out.grad.reshape(n, c_out, ho * wo)
+        if n_e == 1:
+            g = out.grad.reshape(n, c_out, gh * gw)
+        else:
+            g = np.zeros((n, n_e, c_out, gh, gw))
+            for e, (a, b, i, j, _) in enumerate(entries):
+                g[:, e, :, i:i + hu, j:j + wu] = out.grad[:, :, a::upsample, b::upsample]
+            g = g.reshape(n, n_e * c_out, gh * gw)
         if kernels.requires_grad:
-            dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)  # sum_n g[n] @ cols[n].T
-            kernels._accumulate(dw.reshape(kernels.shape))
-        if x.requires_grad:
-            dxp = _col2im(wmat.T @ g, xp_shape, kh, kw, stride, ho, wo)
-            if padding:
-                dxp = dxp[:, :, padding:-padding, padding:-padding]
-            x._accumulate(dxp)
-
-    out = _make_node(out_data, (x, kernels), backward_fn)
-    return out
-
-
-def conv3x3_same(x: Tensor, kernels: Tensor) -> Tensor:
-    """conv2d(x, kernels, stride=1, padding=1) for 3x3 kernels, taps expanded on the output side.
-
-    One GEMM of the (9*C_out, C_in) tap bank, rows in (di, dj, C_out) order,
-    over the once-padded input gives every tap's contribution at every padded
-    pixel; output pixel (i, j) sums tap (di, dj) at padded pixel (i+di, j+dj).
-    That is 9*C_out rows per padded pixel, where im2col lays out 9*C_in.
-    """
-    (n, c_in, h, w), (c_out, _, kh, kw) = _conv_shapes("conv3x3_same", x, kernels)
-    if (kh, kw) != (3, 3):
-        raise ShapeError(f"conv3x3_same needs 3x3 kernels, got {kh}x{kw}")
-    xp = np.zeros((n, c_in, h + 2, w + 2))
-    xp[:, :, 1:-1, 1:-1] = x.data
-    xp = xp.reshape(n, c_in, (h + 2) * (w + 2))
-    bank = kernels.data.transpose(2, 3, 0, 1).reshape(9 * c_out, c_in)
-    taps = (bank @ xp).reshape(n, 3, 3, c_out, h + 2, w + 2)
-    out_data = np.zeros((n, c_out, h, w))
-    for di in range(3):
-        for dj in range(3):
-            out_data += taps[:, di, dj, :, di:di + h, dj:dj + w]
-
-    def backward_fn():
-        g_taps = np.zeros((n, 3, 3, c_out, h + 2, w + 2))
-        for di in range(3):
-            for dj in range(3):
-                g_taps[:, di, dj, :, di:di + h, dj:dj + w] = out.grad
-        g_taps = g_taps.reshape(n, 9 * c_out, (h + 2) * (w + 2))
-        if kernels.requires_grad:
-            dbank = np.matmul(g_taps, xp.transpose(0, 2, 1)).sum(axis=0)  # as in conv2d
-            kernels._accumulate(dbank.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            dxp = (bank.T @ g_taps).reshape(n, c_in, h + 2, w + 2)
-            x._accumulate(dxp[:, :, 1:-1, 1:-1])
-
-    out = _make_node(out_data, (x, kernels), backward_fn)
-    return out
-
-
-# Along one axis, nearest-neighbour doubling then a 3-tap kernel gives output
-# phase a (row 2i+a) the taps (K0, K1+K2) at a=0 and (K0+K1, K2) at a=1 over the
-# 2-row window at padded row i+a: _PHASE_TAPS[a, t, k] = 1 where window tap t
-# sums kernel tap k. _TAP_SUMS maps the 9 taps of a 3x3 kernel to the 16
-# (a, b, ti, tj) phase taps; its transpose folds a phase-bank gradient back.
-_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
-_TAP_SUMS = np.einsum("atk,bul->klabtu", _PHASE_TAPS, _PHASE_TAPS).reshape(9, 16)
-
-
-def upsample2x_conv3x3(x: Tensor, kernels: Tensor) -> Tensor:
-    """conv2d(upsample2x(x), kernels, stride=1, padding=1) without the upsampled tensor.
-
-    Output pixel (2i+a, 2j+b) reads only the 2x2 window at (i+a, j+b) of the
-    once-padded input, so one GEMM of a (4*C_out, 4*C_in) phase bank over the
-    (H+1)x(W+1) windows yields all four output phases.
-    """
-    (n, c_in, h, w), (c_out, _, kh, kw) = _conv_shapes("upsample2x_conv3x3", x, kernels)
-    if (kh, kw) != (3, 3):
-        raise ShapeError(f"upsample2x_conv3x3 needs 3x3 kernels, got {kh}x{kw}")
-    xp = np.zeros((n, c_in, h + 2, w + 2))
-    xp[:, :, 1:-1, 1:-1] = x.data
-    xp_shape = xp.shape  # as in conv2d, the padded copy goes with the forward
-    cols = _im2col(xp, 2, 2, 1, h + 1, w + 1)                  # (N, C_in*4, P)
-    bank = (kernels.data.reshape(c_out * c_in, 9) @ _TAP_SUMS).reshape(c_out, c_in, 2, 2, 2, 2)
-    bank = bank.transpose(2, 3, 0, 1, 4, 5).reshape(4 * c_out, c_in * 4)  # rows (a, b, C_out)
-    blocks = (bank @ cols).reshape(n, 2, 2, c_out, h + 1, w + 1)
-    out_data = np.empty((n, c_out, 2 * h, 2 * w))
-    phases = out_data.reshape(n, c_out, h, 2, w, 2)  # a view: [:, :, i, a, j, b] is (2i+a, 2j+b)
-    for a in (0, 1):
-        for b in (0, 1):
-            phases[:, :, :, a, :, b] = blocks[:, a, b, :, a:a + h, b:b + w]
-
-    def backward_fn():
-        g_phases = out.grad.reshape(n, c_out, h, 2, w, 2)
-        g_blocks = np.zeros((n, 2, 2, c_out, h + 1, w + 1))
-        for a in (0, 1):
-            for b in (0, 1):
-                g_blocks[:, a, b, :, a:a + h, b:b + w] = g_phases[:, :, :, a, :, b]
-        g = g_blocks.reshape(n, 4 * c_out, (h + 1) * (w + 1))
-        if kernels.requires_grad:
-            dbank = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)  # as in conv2d
-            dbank = dbank.reshape(2, 2, c_out, c_in, 2, 2).transpose(2, 3, 0, 1, 4, 5)
-            dk = dbank.reshape(c_out * c_in, 16) @ _TAP_SUMS.T
+            dbank = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)  # sum_n g[n] @ cols[n].T
+            dk = dbank.reshape(n_e, c_out, c_in, slots).transpose(1, 2, 0, 3)
+            if table.fold is not None:
+                dk = dk.reshape(c_out * c_in, -1) @ table.fold.T
             kernels._accumulate(dk.reshape(kernels.shape))
         if x.requires_grad:
-            dxp = _col2im(bank.T @ g, xp_shape, 2, 2, 1, h + 1, w + 1)
-            x._accumulate(dxp[:, :, 1:-1, 1:-1])
+            dcols = bank.T @ g
+            dxp = _col2im(dcols, xp_shape, wh, ww, stride, gh, gw) if im2col else dcols.reshape(xp_shape)
+            x._accumulate(dxp[:, :, pad:pad + h, pad:pad + w])
 
     out = _make_node(out_data, (x, kernels), backward_fn)
     return out

@@ -154,15 +154,17 @@ def encode_image_set(model: ImageAutoencoder, images: np.ndarray,
 
 def export_embeddings(ws: Workspace, cfg: dict, split: str, img_model: ImageAutoencoder,
                       txt_model: TextAutoencoder, vocab: Vocabulary
-                      ) -> tuple[LabeledEmbeddingSet, LabeledEmbeddingSet]:
+                      ) -> tuple[LabeledEmbeddingSet, LabeledEmbeddingSet, list]:
+    """Both embedding sets of a split, and the caption records the text set encodes."""
     dataset = _require_dataset(ws, cfg)
     images, labels = load_image_split(dataset, split, cfg["data.image_size"])
     img_set = encode_image_set(img_model, images, labels)
-    txt_set = encode_caption_set(txt_model, vocab, _captions(ws, cfg, split))
+    records = _captions(ws, cfg, split)
+    txt_set = encode_caption_set(txt_model, vocab, records)
     ws.embeddings.mkdir(parents=True, exist_ok=True)
     write_embeddings(img_set, ws.embeddings / f"img_{split}.emb")
     write_embeddings(txt_set, ws.embeddings / f"txt_{split}.emb")
-    return img_set, txt_set
+    return img_set, txt_set, records
 
 
 # -- commands -------------------------------------------------------------------
@@ -207,7 +209,7 @@ def cmd_train(ws: Workspace, cfg: dict, seed: int, stage: str) -> int:
     else:
         img_model = load_image_model(ws, cfg)
         txt_model, vocab = load_text_model(ws, cfg)
-        img_set, txt_set = export_embeddings(ws, cfg, "train", img_model, txt_model, vocab)
+        img_set, txt_set, _ = export_embeddings(ws, cfg, "train", img_model, txt_model, vocab)
         if stage == "mapper-i2t":
             source, target = img_set.embeddings, txt_set.embeddings
         else:
@@ -317,11 +319,11 @@ def cmd_evaluate(ws: Workspace, cfg: dict, seed: int, split: str) -> int:
     split_sets = {}
     full_sets = {"img": [], "txt": []}
     for part in ("train", "test"):
-        img_set, txt_set = export_embeddings(ws, cfg, part, img_model, txt_model, vocab)
+        img_set, txt_set, records = export_embeddings(ws, cfg, part, img_model, txt_model, vocab)
         full_sets["img"].append(img_set)
         full_sets["txt"].append(txt_set)
         if part == split:
-            split_sets["img"], split_sets["txt"] = img_set, txt_set
+            split_sets["img"], split_sets["txt"], split_records = img_set, txt_set, records
             if min(len(img_set.labels), len(txt_set.labels)) < 2:  # for the two-sample test
                 raise FormatError(f"{ws.dataset_dir(cfg) / split}: {len(img_set.labels)} images and "
                                   f"{len(txt_set.labels)} captions, evaluate needs 2 of each")
@@ -331,8 +333,7 @@ def cmd_evaluate(ws: Workspace, cfg: dict, seed: int, split: str) -> int:
         for mod, sets in full_sets.items()
     }
 
-    rows = _text_overlap_rows(txt_model, vocab, _captions(ws, cfg, split),
-                              split_sets["txt"].embeddings)
+    rows = _text_overlap_rows(txt_model, vocab, split_records, split_sets["txt"].embeddings)
     for name, value in rows.items():
         report.append(name, value, dataset_ref, "text_ae.ckpt", seed)
 

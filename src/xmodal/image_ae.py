@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .errors import DivergenceError
-from .layers import Conv2dLayer, Conv3x3Layer, DenseLayer, Module, UpsampleConv2dLayer
+from .layers import Conv2dLayer, DenseLayer, Module
 from .optim import Adam, TrainingRun
 
 
@@ -122,10 +122,10 @@ class GeneratorStack(Module):
 
     Channels halve per branch. Each join `join{i}` doubles h_{i-1} by
     nearest-neighbour upsampling and applies a 3x3 conv, as one
-    `ad.upsample2x_conv3x3` node that never builds the doubled tensor; its
-    kernels keep the 3x3 shape. Each image head `to_img{i}`, a 3x3 conv to 3
-    channels, is one `ad.conv3x3_same` node, which expands the taps on the
-    output side: 27 GEMM rows per padded pixel where im2col copies 9*C_in.
+    `ad.conv2d(..., upsample=2)` node that never builds the doubled tensor:
+    its tap table folds the 3x3 kernels into a 2x2 window per output phase.
+    Each image head `to_img{i}`, a 3x3 conv to 3 channels, takes its taps on
+    the output side: 27 GEMM rows per padded pixel where im2col copies 9*C_in.
     The conditioning enters each branch through a dense projection broadcast
     over space (equivalent to concatenating a tiled c and convolving 1x1,
     but without widening the 3x3 im2col).
@@ -143,10 +143,11 @@ class GeneratorStack(Module):
         for i in range(cfg.branches):
             if i > 0:
                 self.joins.append(self._child(
-                    f"join{i}", UpsampleConv2dLayer(self.channels[i - 1], self.channels[i], rng)))
+                    f"join{i}", Conv2dLayer(self.channels[i - 1], self.channels[i], 3, 1, 1, rng,
+                                            upsample=2)))
                 self.cond_projs.append(self._child(
                     f"cond_proj{i}", DenseLayer(cfg.d_c, self.channels[i], rng)))
-            self.heads.append(self._child(f"to_img{i}", Conv3x3Layer(self.channels[i], 3, rng)))
+            self.heads.append(self._child(f"to_img{i}", Conv2dLayer(self.channels[i], 3, 3, 1, 1, rng)))
 
     def __call__(self, c_hat: Tensor, z: Tensor) -> list[Tensor]:
         cfg = self.cfg

@@ -62,41 +62,23 @@ class DenseLayer(Module):
 
 
 class Conv2dLayer(Module):
+    """A conv with bias, of the input upsampled `upsample` times (`ad.conv2d`)."""
+
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int, padding: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, upsample: int = 1):
         super().__init__()
         fan_in = in_ch * kernel * kernel
         fan_out = out_ch * kernel * kernel
         self.stride = stride
         self.padding = padding
+        self.upsample = upsample
         self.kernels = self._register(
             "kernels", Tensor(glorot_uniform(rng, (out_ch, in_ch, kernel, kernel), fan_in, fan_out)))
         self.bias = self._register("bias", Tensor(np.zeros(out_ch)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add_channel_bias(ad.conv2d(x, self.kernels, self.stride, self.padding), self.bias)
-
-
-class UpsampleConv2dLayer(Conv2dLayer):
-    """Nearest-neighbour 2x upsampling, then a 3x3 conv with stride 1 and padding 1,
-    as one `ad.upsample2x_conv3x3` node; the parameters are a `Conv2dLayer`'s."""
-
-    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
-        super().__init__(in_ch, out_ch, 3, 1, 1, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.add_channel_bias(ad.upsample2x_conv3x3(x, self.kernels), self.bias)
-
-
-class Conv3x3Layer(Conv2dLayer):
-    """A 3x3 conv with stride 1 and padding 1 as one `ad.conv3x3_same` node;
-    the parameters are a `Conv2dLayer`'s."""
-
-    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
-        super().__init__(in_ch, out_ch, 3, 1, 1, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.add_channel_bias(ad.conv3x3_same(x, self.kernels), self.bias)
+        out = ad.conv2d(x, self.kernels, self.stride, self.padding, self.upsample)
+        return ad.add_channel_bias(out, self.bias)
 
 
 class EmbeddingTable(Module):

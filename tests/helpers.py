@@ -1,5 +1,5 @@
-"""Test-only helpers: finite-difference gradient checks, the generator join's oracle
-and the metric CSV reader.
+"""Test-only helpers: finite-difference gradient checks, the direct-loop convolution
+oracles and the metric CSV reader.
 
 Test modules import this as `helpers`; pytest puts `tests/` on `sys.path`.
 """
@@ -9,7 +9,6 @@ from typing import Callable
 
 import numpy as np
 
-from xmodal import autodiff as ad
 from xmodal.autodiff import GraphError, Tensor, backward, no_grad
 from xmodal.errors import FormatError
 from xmodal.metrics import MetricReport
@@ -55,9 +54,44 @@ def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) 
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def upsample_conv_oracle(x: Tensor, k: Tensor) -> Tensor:
-    """What `ad.upsample2x_conv3x3` folds: nearest-neighbour doubling, then a padded 3x3 conv."""
-    return ad.conv2d(ad.upsample2x(x), k, stride=1, padding=1)
+def conv_loop_oracle(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Cross-correlation of one (C, H, W) sample with (C_out, C, kh, kw) kernels, one output
+    pixel at a time."""
+    if padding:
+        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    _, _, kh, kw = w.shape
+    _, h, wd = x.shape
+    ho, wo = (h - kh) // stride + 1, (wd - kw) // stride + 1
+    out = np.zeros((w.shape[0], ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            window = x[:, i * stride:i * stride + kh, j * stride:j * stride + kw]
+            out[:, i, j] = np.sum(window * w, axis=(1, 2, 3))
+    return out
+
+
+def conv_grad_loop_oracle(x: np.ndarray, w: np.ndarray, g: np.ndarray, stride: int = 1,
+                          padding: int = 0) -> tuple:
+    """d/dw and d/dx of sum(conv(x, w) * g) for one (C, H, W) sample, by direct loops."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    _, _, kh, kw = w.shape
+    _, ho, wo = g.shape
+    for i in range(ho):
+        for j in range(wo):
+            rows, cols = slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw)
+            dw += g[:, i, j, None, None, None] * xp[:, rows, cols]
+            dxp[:, rows, cols] += np.tensordot(g[:, i, j], w, axes=1)
+    return dw, dxp[:, padding:xp.shape[1] - padding, padding:xp.shape[2] - padding]
+
+
+def upsample_conv_oracle(x: np.ndarray, w: np.ndarray, upsample: int = 2, stride: int = 1,
+                         padding: int = 1) -> np.ndarray:
+    """What `ad.conv2d(..., upsample)` computes over a (N, C, H, W) batch: nearest-neighbour
+    upsampling by `np.repeat`, then the loop oracle on each sample."""
+    up = np.repeat(np.repeat(x, upsample, axis=2), upsample, axis=3)
+    return np.stack([conv_loop_oracle(sample, w, stride, padding) for sample in up])
 
 
 def read_metric_rows(path) -> list[dict]:

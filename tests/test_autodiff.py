@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from xmodal import autodiff as ad
 from xmodal.autodiff import GraphError, ShapeError, Tensor, backward
 
-from helpers import GradientCheckError, gradient_check, upsample_conv_oracle
+from helpers import (GradientCheckError, conv_grad_loop_oracle, conv_loop_oracle, gradient_check,
+                     upsample_conv_oracle)
 
 
 def t(data, grad=False):
@@ -206,36 +207,6 @@ class TestMatmul:
         assert gradient_check(f, t(w)) <= 1e-6
 
 
-def conv_loop_oracle(x, w, stride=1, padding=0):
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    co, _, kh, kw = w.shape
-    _, h, wd = x.shape
-    ho, wo = (h - kh) // stride + 1, (wd - kw) // stride + 1
-    out = np.zeros((co, ho, wo))
-    for c in range(co):
-        for i in range(ho):
-            for j in range(wo):
-                out[c, i, j] = np.sum(x[:, i * stride:i * stride + kh, j * stride:j * stride + kw] * w[c])
-    return out
-
-
-def conv_grad_loop_oracle(x, w, g, stride=1, padding=0):
-    """d/dw and d/dx of sum(conv(x, w) * g) for one (C, H, W) sample, by direct loops."""
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    _, _, kh, kw = w.shape
-    co, ho, wo = g.shape
-    for c in range(co):
-        for i in range(ho):
-            for j in range(wo):
-                rows, cols = slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw)
-                dw[c] += g[c, i, j] * xp[:, rows, cols]
-                dxp[:, rows, cols] += g[c, i, j] * w[c]
-    return dw, dxp[:, padding:xp.shape[1] - padding, padding:xp.shape[2] - padding]
-
-
 class TestConv2d:
     def test_identity_kernel(self):
         x = np.random.default_rng(3).normal(size=(1, 2, 5, 5))
@@ -331,28 +302,74 @@ class TestConv2d:
             ad.conv2d(t(np.ones((2, 4, 4))), t(np.ones((1, 2, 2, 2))))
 
 
-class TestUpsample2xConv3x3:
-    @pytest.mark.parametrize("n, c_in, c_out, h, w", [
-        (16, 32, 16, 8, 8),    # the default generator's join1
-        (16, 16, 8, 16, 16),   # and join2
-        (1, 32, 16, 8, 8),     # one text-to-image translate
-        (4, 32, 16, 1, 1),     # join1 of image_ae.branches=6, base_res=1
-        (3, 4, 5, 3, 5),       # non-square
-    ], ids=["join1", "join2", "batch1", "one_pixel", "non_square"])
-    def test_matches_composed_oracle(self, n, c_in, c_out, h, w):
+def closure(out: Tensor) -> dict:
+    """The arrays and values a node's backward closure holds, by name."""
+    fn = out._backward_fn
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+
+
+class TestTapTable:
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding", [
+        ((2, 16, 8, 8), (32, 16, 4, 4), 2, 1),    # an encoder or trunk conv
+        ((2, 64, 4, 4), (64, 64, 1, 1), 1, 0),    # cond_mix
+    ], ids=["stride2", "one_by_one"])
+    def test_input_side_bank_is_a_view_of_the_kernels(self, x_shape, k_shape, stride, padding):
+        k = t(np.ones(k_shape), grad=True)
+        out = ad.conv2d(t(np.ones(x_shape), grad=True), k, stride, padding)
+        bank = closure(out)["bank"]
+        assert bank.shape == (k_shape[0], k.size // k_shape[0])
+        assert np.shares_memory(bank, k.data)
+
+    def test_head_bank_holds_nine_taps_of_output_rows(self):
+        out = ad.conv2d(t(np.ones((2, 8, 4, 4)), grad=True), t(np.ones((3, 8, 3, 3)), grad=True), 1, 1)
+        assert closure(out)["bank"].shape == (9 * 3, 8)
+
+    def test_join_bank_holds_four_phases_of_2x2_windows(self):
+        x, k = t(np.ones((2, 32, 4, 4)), grad=True), t(np.ones((16, 32, 3, 3)), grad=True)
+        out = ad.conv2d(x, k, 1, 1, upsample=2)
+        assert closure(out)["bank"].shape == (4 * 16, 4 * 32)
+
+    def test_upsample_with_stride_2_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.conv2d(t(np.ones((1, 2, 4, 4))), t(np.ones((3, 2, 4, 4))), stride=2, padding=1,
+                      upsample=2)
+
+    def test_upsample_with_uneven_phases_rejected(self):
+        # a 4x4 kernel with padding 1 gives 2H - 1 rows from 2H
+        with pytest.raises(ShapeError):
+            ad.conv2d(t(np.ones((1, 2, 4, 4))), t(np.ones((3, 2, 4, 4))), padding=1, upsample=2)
+
+
+class TestUpsampledConv2d:
+    @pytest.mark.parametrize("n, c_in, c_out, h, w, upsample, kernel, padding", [
+        (16, 32, 16, 8, 8, 2, 3, 1),    # the default generator's join1
+        (16, 16, 8, 16, 16, 2, 3, 1),   # and join2
+        (1, 32, 16, 8, 8, 2, 3, 1),     # one text-to-image translate
+        (4, 32, 16, 1, 1, 2, 3, 1),     # join1 of image_ae.branches=6, base_res=1
+        (3, 4, 5, 3, 5, 2, 3, 1),       # non-square
+        (2, 3, 2, 3, 4, 2, 1, 0),       # the other tables: one tap per phase
+        (2, 3, 2, 3, 4, 2, 5, 2),
+        (2, 3, 2, 3, 4, 2, 3, 0),
+        (2, 3, 2, 3, 4, 3, 3, 1),       # phases of unequal tap counts
+        (2, 3, 2, 3, 4, 3, 2, 2),
+        (2, 3, 2, 3, 4, 4, 3, 3),
+    ], ids=["join1", "join2", "batch1", "one_pixel", "non_square", "u2_k1", "u2_k5_p2",
+            "u2_p0", "u3_k3", "u3_k2_p2", "u4_p3"])
+    def test_matches_the_loop_oracle(self, n, c_in, c_out, h, w, upsample, kernel, padding):
+        # oracle: np.repeat upsampling, then the direct loops; d input sums each u x u block
         rng = np.random.default_rng(42)
-        x_data, k_data = rng.normal(size=(n, c_in, h, w)), rng.normal(size=(c_out, c_in, 3, 3))
-        g = Tensor(rng.normal(size=(n, c_out, 2 * h, 2 * w)))
-        results = []
-        for op in (ad.upsample2x_conv3x3, upsample_conv_oracle):
-            x, k = t(x_data, grad=True), t(k_data, grad=True)
-            out = op(x, k)
-            backward(ad.reduce("sum", ad.mul(out, g)))
-            results.append((out.data, x.grad, k.grad))
-        (out, dx, dk), (want_out, want_dx, want_dk) = results
-        np.testing.assert_allclose(out, want_out, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(dx, want_dx, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(dk, want_dk, atol=1e-12, rtol=0)
+        x = t(rng.normal(size=(n, c_in, h, w)), grad=True)
+        k = t(rng.normal(size=(c_out, c_in, kernel, kernel)), grad=True)
+        out = ad.conv2d(x, k, 1, padding, upsample=upsample)
+        g = rng.normal(size=out.shape)
+        backward(ad.reduce("sum", ad.mul(out, Tensor(g))))
+        up = np.repeat(np.repeat(x.data, upsample, axis=2), upsample, axis=3)
+        grads = [conv_grad_loop_oracle(xi, k.data, gi, 1, padding) for xi, gi in zip(up, g)]
+        want_dx = np.stack([dx for _, dx in grads]).reshape(n, c_in, h, upsample, w, upsample)
+        np.testing.assert_allclose(out.data, upsample_conv_oracle(x.data, k.data, upsample, 1, padding),
+                                   atol=1e-12, rtol=0)
+        np.testing.assert_allclose(x.grad, want_dx.sum(axis=(3, 5)), atol=1e-12, rtol=0)
+        np.testing.assert_allclose(k.grad, sum(dw for dw, _ in grads), atol=1e-12, rtol=0)
 
     def test_gradients_of_input_and_kernels(self):
         rng = np.random.default_rng(43)
@@ -362,21 +379,12 @@ class TestUpsample2xConv3x3:
         def loss(out):
             return ad.reduce("sum", ad.mul(out, w))
 
-        assert gradient_check(lambda v: loss(ad.upsample2x_conv3x3(v, Tensor(k))), t(x)) <= 1e-6
-        assert gradient_check(lambda v: loss(ad.upsample2x_conv3x3(Tensor(x), v)), t(k)) <= 1e-6
-
-    @pytest.mark.parametrize("x_shape, k_shape", [
-        ((2, 4, 4), (1, 2, 3, 3)),         # unbatched input
-        ((1, 2, 4, 4), (1, 2, 4, 4)),      # not a 3x3 kernel
-        ((1, 2, 4, 4), (1, 3, 3, 3)),      # channel mismatch
-    ], ids=["unbatched", "kernel_4x4", "channel_mismatch"])
-    def test_shape_errors(self, x_shape, k_shape):
-        with pytest.raises(ShapeError):
-            ad.upsample2x_conv3x3(t(np.ones(x_shape)), t(np.ones(k_shape)))
+        assert gradient_check(lambda v: loss(ad.conv2d(v, Tensor(k), 1, 1, upsample=2)), t(x)) <= 1e-6
+        assert gradient_check(lambda v: loss(ad.conv2d(Tensor(x), v, 1, 1, upsample=2)), t(k)) <= 1e-6
 
     def test_closure_keeps_cols_and_bank_only(self):
         x, k = t(np.ones((2, 3, 4, 4)), grad=True), t(np.ones((5, 3, 3, 3)), grad=True)
-        out = ad.upsample2x_conv3x3(x, k)
+        out = ad.conv2d(x, k, 1, 1, upsample=2)
         held = [c.cell_contents for c in out._backward_fn.__closure__]
         arrays = sorted(v.shape for v in held if isinstance(v, np.ndarray))
         assert arrays == [(2, 3 * 4, 5 * 5), (4 * 5, 3 * 4)]  # cols, phase bank
@@ -384,33 +392,37 @@ class TestUpsample2xConv3x3:
     def test_no_grad_keeps_no_closure(self):
         x, k = t(np.ones((2, 3, 4, 4)), grad=True), t(np.ones((5, 3, 3, 3)), grad=True)
         with ad.no_grad():
-            out = ad.upsample2x_conv3x3(x, k)
+            out = ad.conv2d(x, k, 1, 1, upsample=2)
         assert out._backward_fn is None and out._parents == () and not out.requires_grad
 
 
-class TestConv3x3Same:
-    @pytest.mark.parametrize("n, c_in, c_out, h, w", [
-        (16, 8, 3, 32, 32),    # the default generator's to_img2
-        (16, 16, 3, 16, 16),   # to_img1
-        (16, 32, 3, 8, 8),     # to_img0
-        (1, 8, 3, 32, 32),     # one text-to-image translate
-        (3, 4, 5, 3, 6),       # non-square
-        (2, 3, 7, 4, 4),       # more output channels than input channels
-        (4, 5, 3, 1, 1),       # one pixel
-    ], ids=["to_img2", "to_img1", "to_img0", "batch1", "non_square", "c_out_gt_c_in",
-            "one_pixel"])
-    def test_matches_conv2d(self, n, c_in, c_out, h, w):
+class TestOutputSideConv2d:
+    # stride 1, no upsampling and C_out < C_in: the image heads' tap bank
+    @pytest.mark.parametrize("n, c_in, c_out, h, w, kernel, padding", [
+        (16, 8, 3, 32, 32, 3, 1),    # the default generator's to_img2
+        (16, 16, 3, 16, 16, 3, 1),   # to_img1
+        (16, 32, 3, 8, 8, 3, 1),     # to_img0
+        (1, 8, 3, 32, 32, 3, 1),     # one text-to-image translate
+        (3, 4, 2, 3, 6, 3, 1),       # non-square
+        (4, 5, 3, 1, 1, 3, 1),       # one pixel
+        (2, 3, 2, 5, 6, 1, 0),       # other kernels and paddings
+        (2, 3, 2, 5, 6, 2, 0),
+        (2, 3, 2, 5, 6, 3, 0),
+        (2, 3, 2, 5, 6, 4, 1),
+        (2, 3, 2, 5, 6, 2, 2),
+    ], ids=["to_img2", "to_img1", "to_img0", "batch1", "non_square", "one_pixel", "k1_p0",
+            "k2_p0", "k3_p0", "k4_p1", "k2_p2"])
+    def test_matches_the_loop_oracle(self, n, c_in, c_out, h, w, kernel, padding):
         rng = np.random.default_rng(44)
-        x_data, k_data = rng.normal(size=(n, c_in, h, w)), rng.normal(size=(c_out, c_in, 3, 3))
-        g = Tensor(rng.normal(size=(n, c_out, h, w)))
-        results = []
-        for op in (ad.conv3x3_same, lambda x, k: ad.conv2d(x, k, 1, 1)):
-            x, k = t(x_data, grad=True), t(k_data, grad=True)
-            out = op(x, k)
-            backward(ad.reduce("sum", ad.mul(out, g)))
-            results.append((out.data, x.grad, k.grad))
-        for got, want in zip(*results):
-            assert got.shape == want.shape
+        x = t(rng.normal(size=(n, c_in, h, w)), grad=True)
+        k = t(rng.normal(size=(c_out, c_in, kernel, kernel)), grad=True)
+        out = ad.conv2d(x, k, 1, padding)
+        g = rng.normal(size=out.shape)
+        backward(ad.reduce("sum", ad.mul(out, Tensor(g))))
+        grads = [conv_grad_loop_oracle(xi, k.data, gi, 1, padding) for xi, gi in zip(x.data, g)]
+        want_out = np.stack([conv_loop_oracle(xi, k.data, 1, padding) for xi in x.data])
+        for got, want in ((out.data, want_out), (x.grad, np.stack([dx for _, dx in grads])),
+                          (k.grad, sum(dw for dw, _ in grads))):
             np.testing.assert_allclose(got, want, atol=1e-12 * np.abs(want).max(), rtol=0)
 
     def test_gradients_of_input_and_kernels(self):
@@ -421,30 +433,15 @@ class TestConv3x3Same:
         def loss(out):
             return ad.reduce("sum", ad.mul(out, w))
 
-        assert gradient_check(lambda v: loss(ad.conv3x3_same(v, Tensor(k))), t(x)) <= 1e-6
-        assert gradient_check(lambda v: loss(ad.conv3x3_same(Tensor(x), v)), t(k)) <= 1e-6
-
-    @pytest.mark.parametrize("x_shape, k_shape", [
-        ((2, 4, 4), (1, 2, 3, 3)),         # unbatched input
-        ((1, 2, 4, 4), (1, 2, 4, 4)),      # not a 3x3 kernel
-        ((1, 2, 4, 4), (1, 3, 3, 3)),      # channel mismatch
-    ], ids=["unbatched", "kernel_4x4", "channel_mismatch"])
-    def test_shape_errors(self, x_shape, k_shape):
-        with pytest.raises(ShapeError):
-            ad.conv3x3_same(t(np.ones(x_shape)), t(np.ones(k_shape)))
+        assert gradient_check(lambda v: loss(ad.conv2d(v, Tensor(k), 1, 1)), t(x)) <= 1e-6
+        assert gradient_check(lambda v: loss(ad.conv2d(Tensor(x), v, 1, 1)), t(k)) <= 1e-6
 
     def test_closure_keeps_padded_input_and_bank_only(self):
-        x, k = t(np.ones((2, 3, 4, 5)), grad=True), t(np.ones((7, 3, 3, 3)), grad=True)
-        out = ad.conv3x3_same(x, k)
+        x, k = t(np.ones((2, 7, 4, 5)), grad=True), t(np.ones((3, 7, 3, 3)), grad=True)
+        out = ad.conv2d(x, k, 1, 1)
         held = [c.cell_contents for c in out._backward_fn.__closure__]
         arrays = sorted(v.shape for v in held if isinstance(v, np.ndarray))
-        assert arrays == [(2, 3, 6 * 7), (9 * 7, 3)]  # padded input, tap bank
-
-    def test_no_grad_keeps_no_closure(self):
-        x, k = t(np.ones((2, 3, 4, 4)), grad=True), t(np.ones((5, 3, 3, 3)), grad=True)
-        with ad.no_grad():
-            out = ad.conv3x3_same(x, k)
-        assert out._backward_fn is None and out._parents == () and not out.requires_grad
+        assert arrays == [(2, 7, 6 * 7), (9 * 3, 7)]  # padded input, tap bank
 
 
 class TestReduce:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xmodal import layers
+from xmodal import cli, layers
 from xmodal.checkpoint import load_checkpoint, load_into, save_checkpoint, save_module
 from xmodal.cli import (TRAIN_STAGES, Workspace, load_image_model, load_mapper, load_text_model,
                         main)
@@ -384,6 +384,20 @@ def test_evaluate_replaces_report_with_its_own_provenance(workdir):
     assert main(["evaluate", "--split", "test", "--config", str(short)]) == 3
     assert report.read_bytes() == before
     assert list(report.parent.iterdir()) == [report]
+
+
+def test_evaluate_reads_each_split_of_captions_once(workdir, monkeypatch):
+    ws, cfg = workdir
+    train_stages(cfg, TRAIN_STAGES)
+    splits = []
+
+    def counted(root, split):
+        splits.append(split)
+        return load_caption_split(root, split)
+
+    monkeypatch.setattr(cli, "load_caption_split", counted)
+    assert main(["evaluate", "--split", "test", "--config", cfg]) == 0
+    assert sorted(splits) == ["test", "train"]
 
 
 def test_mapper_with_non_finite_output_exits_5(workdir):

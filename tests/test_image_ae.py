@@ -181,30 +181,25 @@ class TestGeneratorStack:
 
 
     @pytest.mark.parametrize("batch", [16, 1])
-    def test_joins_match_the_composed_upsample_and_conv(self, batch, monkeypatch):
-        # the default generator, run once through the folded join op and once
-        # through nearest-neighbour doubling and a padded 3x3 conv2d
+    @pytest.mark.parametrize("layers", ["joins", "heads"])
+    def test_generator_convs_match_the_loop_oracle(self, layers, batch, monkeypatch):
+        # the default generator, run once through conv2d's tap tables and once
+        # with the joins (upsample 2) or the heads through np.repeat upsampling
+        # and the direct-loop conv oracle
         cfg = ImageAEConfig()
         model = ImageAutoencoder(cfg, np.random.default_rng(17))
         rng = np.random.default_rng(18)
         c = Tensor(rng.normal(size=(batch, cfg.d_c)))
         z = Tensor(rng.normal(size=(batch, cfg.d_z)))
         images = model.generator(c, z)
-        monkeypatch.setattr(ad, "upsample2x_conv3x3", upsample_conv_oracle)
-        for got, want in zip(images, model.generator(c, z)):
-            np.testing.assert_allclose(got.data, want.data, atol=1e-12, rtol=0)
+        conv2d = ad.conv2d
 
-    @pytest.mark.parametrize("batch", [16, 1])
-    def test_heads_match_the_padded_conv2d(self, batch, monkeypatch):
-        # the default generator, run once through the tap-bank head op and
-        # once through a padded 3x3 conv2d
-        cfg = ImageAEConfig()
-        model = ImageAutoencoder(cfg, np.random.default_rng(19))
-        rng = np.random.default_rng(20)
-        c = Tensor(rng.normal(size=(batch, cfg.d_c)))
-        z = Tensor(rng.normal(size=(batch, cfg.d_z)))
-        images = model.generator(c, z)
-        monkeypatch.setattr(ad, "conv3x3_same", lambda x, k: ad.conv2d(x, k, 1, 1))
+        def oracle_for_some(x, k, stride=1, padding=0, upsample=1):
+            if (upsample > 1) != (layers == "joins"):
+                return conv2d(x, k, stride, padding, upsample)
+            return Tensor(upsample_conv_oracle(x.data, k.data, upsample, stride, padding))
+
+        monkeypatch.setattr(ad, "conv2d", oracle_for_some)
         for got, want in zip(images, model.generator(c, z), strict=True):
             np.testing.assert_allclose(got.data, want.data, atol=1e-12, rtol=0)
 
