@@ -23,10 +23,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# Arguments of log (and denominators derived from it) are clamped to this
-# epsilon so saturated sigmoid heads cannot produce non-finite losses.
-LOG_EPS = 1e-12
-
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
@@ -207,9 +203,8 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    # forward log(max(x, LOG_EPS)); backward 1/max(x, LOG_EPS)
-    clamped = np.maximum(a.data, LOG_EPS)
-    return _unary(a, np.log(clamped), lambda: 1.0 / clamped)
+    x = a.data
+    return _unary(a, np.log(x), lambda: 1.0 / x)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -227,6 +222,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
     return _unary(a, s, lambda: s * (1.0 - s))
+
+
+def log_sigmoid(a: Tensor) -> Tensor:
+    """log(1 / (1 + exp(-x))), finite at any finite logit; log(1 - sigmoid(x))
+    is log_sigmoid(-x). The gradient is sigmoid(-x)."""
+    x = a.data
+    return _unary(a, np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x))), lambda: _sigmoid(-x))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -566,11 +568,11 @@ def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     # (N, C, Hp, Wp) -> (N, C*kh*kw, ho*wo): the K axis in the kernels' own
     # (C, kh, kw) order, so that kernels reshape to (C_out, K) without a copy
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (N, C, ho, wo, kh, kw)
     n, c = xp.shape[:2]
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
-    return cols.reshape(n, c * kh * kw, ho * wo)
+    sn, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+    return np.ascontiguousarray(windows).reshape(n, c * kh * kw, ho * wo)
 
 
 def _col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:

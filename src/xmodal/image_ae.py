@@ -169,7 +169,8 @@ class GeneratorStack(Module):
 
 
 class BranchDiscriminator(Module):
-    """Shared conv trunk with an unconditional and a conditional sigmoid head."""
+    """Shared conv trunk with an unconditional and a conditional logit head:
+    D(x) = sigmoid(logit), and the losses take log D through `ad.log_sigmoid`."""
 
     def __init__(self, cfg: ImageAEConfig, resolution: int, rng: np.random.Generator):
         super().__init__()
@@ -205,52 +206,41 @@ class BranchDiscriminator(Module):
         return ad.reshape(h, (n, h.size // n))
 
     def uncond_score(self, feat: Tensor) -> Tensor:
-        return ad.sigmoid(ad.reshape(self.uncond(self._flat(feat)), (feat.shape[0],)))
+        return ad.reshape(self.uncond(self._flat(feat)), (feat.shape[0],))
 
     def cond_score(self, feat: Tensor, c: Tensor) -> Tensor:
         tiled = ad.tile_hw(self.cond_proj(c), self.feat_res, self.feat_res)
         mixed = ad.leaky_relu(ad.add(self.cond_mix(feat), tiled), 0.2)
-        return ad.sigmoid(ad.reshape(self.cond(self._flat(mixed)), (feat.shape[0],)))
+        return ad.reshape(self.cond(self._flat(mixed)), (feat.shape[0],))
 
     def scores(self, x: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         feat = self.trunk(x)
         return self.uncond_score(feat), self.cond_score(feat, c)
 
 
-def _mean_log(t: Tensor) -> Tensor:
-    return ad.reduce("mean", ad.log(t))
-
-
-def _mean_log1m(t: Tensor) -> Tensor:
-    return ad.reduce("mean", ad.log(ad.sub(Tensor(1.0), t)))
-
-
 def discriminator_loss(disc: BranchDiscriminator, real: Tensor, fake: Tensor, c: Tensor) -> Tensor:
     """-E[log D(x)] - E[log(1-D(u))] - E[log D(x,c)] - E[log(1-D(u,c))].
 
-    Real and fake batches share one trunk pass; the four head terms are
-    split back out of the doubled batch.
+    Real and fake batches share one trunk pass. As log(1 - sigmoid(l)) =
+    log sigmoid(-l), each term is a mean of log sigmoid(sign * logit) with
+    sign +1 on real rows and -1 on fake rows, so the loss is -4 times the
+    mean over both heads' 2n signed logits.
     """
     if real.shape != fake.shape:
         raise ShapeError(f"real/fake shapes differ: {real.shape} vs {fake.shape}")
     n = real.shape[0]
     feat = disc.trunk(ad.concat([real, fake], axis=0))
-    both_u = disc.uncond_score(feat)
-    both_c = disc.cond_score(feat, ad.concat([c, c], axis=0))
-    real_u, fake_u = ad.narrow(both_u, 0, 0, n), ad.narrow(both_u, 0, n, n)
-    real_c, fake_c = ad.narrow(both_c, 0, 0, n), ad.narrow(both_c, 0, n, n)
-    total = ad.add(ad.add(_mean_log(real_u), _mean_log1m(fake_u)),
-                   ad.add(_mean_log(real_c), _mean_log1m(fake_c)))
-    return ad.neg(total)
+    logits = ad.concat([disc.uncond_score(feat), disc.cond_score(feat, ad.concat([c, c], axis=0))])
+    sign = Tensor(np.tile(np.repeat([1.0, -1.0], n), 2))
+    return ad.scale(ad.reduce("mean", ad.log_sigmoid(ad.mul(logits, sign))), -4.0)
 
 
 def generator_adversarial_loss(discs: list[BranchDiscriminator], fakes: list[Tensor],
                                c: Tensor) -> Tensor:
-    """Sum over branches of -E[log D_i(u_i)] - E[log D_i(u_i, c_i)]."""
+    """Sum over branches of -E[log D_i(u_i)] - E[log D_i(u_i, c_i)] (non-saturating)."""
     total = None
     for disc, fake in zip(discs, fakes):
-        fake_u, fake_c = disc.scores(fake, c)
-        branch = ad.neg(ad.add(_mean_log(fake_u), _mean_log(fake_c)))
+        branch = ad.scale(ad.reduce("mean", ad.log_sigmoid(ad.concat(disc.scores(fake, c)))), -2.0)
         total = branch if total is None else ad.add(total, branch)
     return total
 

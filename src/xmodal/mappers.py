@@ -121,6 +121,8 @@ class MapperGenerator(Module):
 
 
 class MapperDiscriminator(Module):
+    """Real/fake logit per row: D(x) = sigmoid(logit)."""
+
     def __init__(self, target_dim: int, hidden: int, rng: np.random.Generator):
         super().__init__()
         self.l1 = self._child("l1", DenseLayer(target_dim, hidden, rng))
@@ -130,7 +132,7 @@ class MapperDiscriminator(Module):
     def __call__(self, x: Tensor) -> Tensor:
         h = ad.leaky_relu(self.l1(x), 0.2)
         h = ad.leaky_relu(self.l2(h), 0.2)
-        return ad.sigmoid(ad.reshape(self.l3(h), (x.shape[0],)))
+        return ad.reshape(self.l3(h), (x.shape[0],))
 
 
 class MMDCritic(Module):
@@ -203,24 +205,26 @@ def _check_sets(source: np.ndarray, target: np.ndarray, cfg: MapperConfig):
 
 def train_gan_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
                      rng: np.random.Generator, log=None) -> MapperGenerator:
-    """Alternating discriminator/generator updates with the cross-entropy GAN loss."""
+    """Alternating discriminator/generator updates with the cross-entropy GAN loss:
+    the discriminator scores [real; fake] in one forward, its logits signed +1/-1,
+    and the generator takes the non-saturating -mean log sigmoid(logit)."""
     _check_sets(source, target, cfg)
     gen = MapperGenerator(source.shape[1], target.shape[1], cfg.hidden, rng)
     disc = MapperDiscriminator(target.shape[1], cfg.hidden, rng)
     g_opt = Adam(gen.parameters(), lr=cfg.lr)
     d_opt = Adam(disc.parameters(), lr=cfg.lr)
     run = TrainingRun(gen.named_parameters(), g_opt, log)
-    one = Tensor(1.0)
+    sign = Tensor(np.repeat([1.0, -1.0], cfg.batch))
     for step in range(cfg.steps):
-        xb = Tensor(_sample(target, cfg.batch, rng))
+        real = _sample(target, cfg.batch, rng)
         with ad.no_grad():
-            fake = gen(Tensor(_sample(source, cfg.batch, rng)))
-        d_loss = ad.neg(ad.add(ad.reduce("mean", ad.log(disc(xb))),
-                               ad.reduce("mean", ad.log(ad.sub(one, disc(fake))))))
+            fake = gen(Tensor(_sample(source, cfg.batch, rng))).data
+        logits = disc(Tensor(np.concatenate([real, fake])))
+        d_loss = ad.scale(ad.reduce("mean", ad.log_sigmoid(ad.mul(logits, sign))), -2.0)
         d_value = run.minimize(d_opt, d_loss, f"gan mapper discriminator loss at step {step}")
 
         fake = gen(Tensor(_sample(source, cfg.batch, rng)))
-        g_loss = ad.neg(ad.reduce("mean", ad.log(disc(fake))))
+        g_loss = ad.neg(ad.reduce("mean", ad.log_sigmoid(disc(fake))))
         g_value = run.minimize(g_opt, g_loss, f"gan mapper generator loss at step {step}")
         run.emit("d_loss", d_value)
         run.emit("g_loss", g_value)

@@ -1,5 +1,8 @@
 """Forward oracles and finite-difference checks for the autodiff core."""
 
+import zlib
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,14 +59,37 @@ class TestElementwise:
             with pytest.raises(ShapeError):
                 ad.add(a, b)
 
-    def test_log_clamped_at_epsilon(self):
-        out = ad.log(t([0.0, -1.0, 1.0]))
-        assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data[:2], np.log(ad.LOG_EPS))
-
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             ad.elementwise("pow", t([1.0]))
+
+
+def log_sigmoid_decimal(x: float) -> float:
+    # -log(1 + exp(-x)) in 40 significant digits, rounded once to float64
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(-(1 + (-Decimal(x)).exp()).ln())
+
+
+class TestLogSigmoid:
+    def test_matches_the_decimal_oracle(self):
+        # log(1/(1+exp(-x))) in float64 is itself off by 1e-15 relative at x = 2
+        # and by 1e-3 at x = 30, where 1 + exp(-x) rounds
+        x = np.concatenate([np.linspace(-30.0, 30.0, 241), [-1e-9, 1e-9, -0.0, 0.0]])
+        want = np.array([log_sigmoid_decimal(v) for v in x])
+        np.testing.assert_allclose(ad.log_sigmoid(t(x)).data, want, rtol=1e-15, atol=0)
+
+    def test_finite_value_and_gradient_at_saturated_logits(self):
+        out, grad = forward_and_input_grad(ad.log_sigmoid, np.array([-1000.0, 1000.0]), np.ones(2))
+        assert out.tolist() == [-1000.0, 0.0]
+        assert grad.tolist() == [1.0, 0.0]
+
+    def test_gradient_of_a_confidently_wrong_logit(self):
+        # d/dl -log sigmoid(l) = -sigmoid(-l): -1 at l = -50, where the gradient of a
+        # log clamped at 1e-12 over a sigmoid head is about -2e-10
+        v = t([-50.0], grad=True)
+        backward(ad.neg(ad.reduce("sum", ad.log_sigmoid(v))))
+        assert abs(v.grad[0] + 1.0) <= 1e-12
 
 
 # NaN, signed zeros and infinities, the smallest subnormals and exp's overflow edge
@@ -618,11 +644,7 @@ class TestGradientCheck:
         assert err > 1e-2
 
     def test_non_finite_reported_with_coordinate(self):
-        def f(v):
-            return ad.reduce("sum", ad.log(ad.sub(v, Tensor(np.array(1e9)))))
-
-        x = t([1e9 + 1.0])
-        # central difference at the clamp edge stays finite; force non-finite analytic
+        # a backward rule that hands out NaN
         def g(v):
             out = ad.Tensor(np.array(v.data.sum()))
             out.requires_grad = True
@@ -661,6 +683,7 @@ STRUCTURAL_CASES = {
     "relu": ad.relu,
     "leaky_relu": lambda v: ad.leaky_relu(v, 0.2),
     "log": lambda v: ad.log(ad.add(ad.mul(v, v), Tensor(0.5))),
+    "log_sigmoid": lambda v: ad.log_sigmoid(ad.scale(v, 3.0)),
     "pairwise_sq_dists": lambda v: ad.pairwise_sq_dists(v, ad.mul(v, Tensor(0.5))),
     "rbf_mixture": lambda v: ad.rbf_mixture(ad.mul(v, v), (0.7, 1.9)),
 }
@@ -669,7 +692,7 @@ STRUCTURAL_CASES = {
 @pytest.mark.parametrize("name", sorted(STRUCTURAL_CASES))
 def test_every_operation_gradient(name):
     # registered-op invariant: finite-difference error <= 1e-6 on seeded input
-    rng = np.random.default_rng(hash(name) % 2 ** 32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     x = rng.normal(size=(4, 4))
     if name in ("relu", "leaky_relu", "absolute"):
         x = x + np.where(x >= 0, 0.5, -0.5)  # keep clear of the kink

@@ -365,6 +365,22 @@ def test_divergence_keeps_last_good_checkpoint(workdir, case):
     assert all(p.suffix == ".csv" for p in csv.parent.iterdir())  # no stray file
 
 
+def test_gan_mapper_at_a_saturating_learning_rate_still_trains(workdir):
+    # mapper.lr = 1 saturates the discriminator at its first step; on logits
+    # the generator's gradient stays alive and it moves off its initial draw
+    ws, cfg = workdir
+    train_stages(cfg, ("image-ae", "text-ae"))
+    gan = ws / "gan.cfg"
+    gan.write_text(TINY + "mapper.kind = gan\nmapper.lr = 1\n")
+    assert main(["train", "--stage", "mapper-t2i", "--config", str(gan)]) == 0
+    arrays = load_checkpoint(ws / "checkpoints" / "mapper_t2i.ckpt")
+    named = dict(BUILDERS["mapper-t2i"](resolve_config(str(gan)), None,
+                                        cli.stage_rng(42, "mapper-t2i")).named_parameters())
+    assert list(arrays) == list(named)
+    assert all(np.isfinite(a).all() for a in arrays.values())
+    assert any(not np.array_equal(arrays[name], p.data) for name, p in named.items())
+
+
 def test_evaluate_replaces_report_with_its_own_provenance(workdir):
     ws, cfg = workdir
     train_stages(cfg, TRAIN_STAGES)

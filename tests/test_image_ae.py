@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xmodal import autodiff as ad
-from xmodal.autodiff import ShapeError, Tensor
+from xmodal.autodiff import ShapeError, Tensor, backward
 from xmodal.image_ae import (BranchDiscriminator, CondAugment, ImageAEConfig, ImageAutoencoder,
                              discriminator_loss, downsample_to, encode_image,
                              generate_images, generator_adversarial_loss, kl_standard_normal,
@@ -246,22 +246,24 @@ def test_saved_checkpoint_loads_into_a_fresh_model(tmp_path):
 
 
 class _StubDisc:
-    """Duck-typed discriminator with constant head outputs."""
+    """Duck-typed discriminator with constant head logits that record gradients."""
 
     def __init__(self, real_u, fake_u, real_c, fake_c, n):
-        self.values = (real_u, fake_u, real_c, fake_c)
-        self.n = n
+        self.logits = [Tensor(np.repeat([real, fake], n), requires_grad=True)
+                       for real, fake in ((real_u, fake_u), (real_c, fake_c))]
 
     def trunk(self, x):
         return x
 
     def uncond_score(self, feat):
-        real_u, fake_u, _, _ = self.values
-        return Tensor(np.concatenate([np.full(self.n, real_u), np.full(self.n, fake_u)]))
+        return self.logits[0]
 
     def cond_score(self, feat, c):
-        _, _, real_c, fake_c = self.values
-        return Tensor(np.concatenate([np.full(self.n, real_c), np.full(self.n, fake_c)]))
+        return self.logits[1]
+
+
+def log_sigmoid_oracle(logits):
+    return -np.logaddexp(0.0, -logits)
 
 
 class TestLosses:
@@ -277,11 +279,25 @@ class TestLosses:
         assert loss.item() == pytest.approx(4.0 * np.log(2.0), abs=1e-9)
 
     def test_discriminator_loss_perfect_limit(self):
-        eps = 1e-9
-        stub = _StubDisc(1.0 - eps, eps, 1.0 - eps, eps, n=4)
+        # saturated heads: the loss is exactly 0 and the gradient finite (and 0)
+        stub = _StubDisc(1000.0, -1000.0, 1000.0, -1000.0, n=4)
         dummy = Tensor(np.zeros((4, 1)))
         loss = discriminator_loss(stub, dummy, Tensor(np.zeros((4, 1))), dummy)
-        assert loss.item() == pytest.approx(0.0, abs=1e-6)
+        assert loss.item() == 0.0
+        backward(loss)
+        for logits in stub.logits:
+            assert np.all(np.isfinite(logits.grad))
+
+    def test_discriminator_gradient_at_a_confidently_wrong_head(self):
+        # real rows scored -50, fakes +50: d loss / d logit = -(sign / n) * sigmoid(-sign * logit),
+        # so -1/n on real rows and +1/n on fake ones; a log clamped at 1e-12 over a
+        # sigmoid head gave about -2e-10/n
+        n = 4
+        stub = _StubDisc(-50.0, 50.0, 0.0, 0.0, n=n)
+        dummy = Tensor(np.zeros((n, 1)))
+        backward(discriminator_loss(stub, dummy, Tensor(np.zeros((n, 1))), dummy))
+        np.testing.assert_allclose(stub.logits[0].grad * n, np.repeat([-1.0, 1.0], n),
+                                   rtol=0, atol=1e-12)
 
     def test_discriminator_loss_vs_scalar_oracle(self):
         disc = BranchDiscriminator(SMALL, 16, np.random.default_rng(19))
@@ -293,8 +309,8 @@ class TestLosses:
         with ad.no_grad():
             ru, rc = disc.scores(real, c)
             fu, fc = disc.scores(fake, c)
-        want = -(np.mean(np.log(ru.data)) + np.mean(np.log(1 - fu.data))
-                 + np.mean(np.log(rc.data)) + np.mean(np.log(1 - fc.data)))
+        want = -(np.mean(log_sigmoid_oracle(ru.data)) + np.mean(log_sigmoid_oracle(-fu.data))
+                 + np.mean(log_sigmoid_oracle(rc.data)) + np.mean(log_sigmoid_oracle(-fc.data)))
         assert loss == pytest.approx(want, abs=1e-12)
 
     def test_generator_loss_at_half_single_branch(self):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from xmodal import autodiff as ad
 from xmodal.autodiff import ShapeError, Tensor, backward
 from xmodal.errors import DivergenceError
-from xmodal.mappers import (BANDWIDTH_SCALES, KernelSpec, MapperConfig, MapperGenerator,
-                            MMDCritic, map_embedding, median_heuristic, mixture_kernel,
-                            mmd2_biased, mmd2_unbiased, train_gan_mapper, train_mmd_mapper)
+from xmodal.mappers import (BANDWIDTH_SCALES, KernelSpec, MapperConfig, MapperDiscriminator,
+                            MapperGenerator, MMDCritic, map_embedding, median_heuristic,
+                            mixture_kernel, mmd2_biased, mmd2_unbiased, train_gan_mapper,
+                            train_mmd_mapper)
 
 from helpers import gradient_check
 
@@ -260,26 +261,32 @@ class TestMapperGenerator:
 
 class TestGanMapper:
     def test_uniform_discriminator_loss_oracle(self):
-        # zeroed final discriminator layer outputs exactly 0.5 everywhere:
+        # a zeroed final discriminator layer gives logit 0 everywhere:
         # d_loss = 2 ln 2 and g_loss = ln 2
         rng = np.random.default_rng(0)
-        source, target = rng.normal(size=(64, 6)), rng.normal(size=(64, 4))
-        cfg = MapperConfig(kind="gan", steps=1, hidden=16, lr=0.0)
-        train_gan_mapper(source, target, cfg, np.random.default_rng(1))
-        # lr=0 keeps parameters at init but the init is not uniform; evaluate
-        # the loss formula directly instead
-        from xmodal.mappers import MapperDiscriminator
         disc = MapperDiscriminator(4, 16, np.random.default_rng(2))
         disc.l3.weight.data[...] = 0.0
         disc.l3.bias.data[...] = 0.0
         xb = Tensor(rng.normal(size=(32, 4)))
         fake = Tensor(rng.normal(size=(32, 4)))
-        one = Tensor(1.0)
-        d_loss = ad.neg(ad.add(ad.reduce("mean", ad.log(disc(xb))),
-                               ad.reduce("mean", ad.log(ad.sub(one, disc(fake)))))).item()
-        g_loss = ad.neg(ad.reduce("mean", ad.log(disc(fake)))).item()
+        np.testing.assert_array_equal(disc(xb).data, 0.0)
+        d_loss = ad.neg(ad.add(ad.reduce("mean", ad.log_sigmoid(disc(xb))),
+                               ad.reduce("mean", ad.log_sigmoid(ad.neg(disc(fake)))))).item()
+        g_loss = ad.neg(ad.reduce("mean", ad.log_sigmoid(disc(fake)))).item()
         assert d_loss == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
         assert g_loss == pytest.approx(np.log(2.0), abs=1e-12)
+
+    def test_one_discriminator_forward_per_step(self, monkeypatch):
+        # the discriminator step scores [real; fake] together, the generator step its fakes
+        rows = []
+        forward = MapperDiscriminator.__call__
+        monkeypatch.setattr(MapperDiscriminator, "__call__",
+                            lambda self, x: rows.append(x.shape[0]) or forward(self, x))
+        rng = np.random.default_rng(3)
+        cfg = MapperConfig(kind="gan", steps=3, hidden=16, batch=8)
+        train_gan_mapper(rng.normal(size=(20, 6)), rng.normal(size=(20, 4)), cfg,
+                         np.random.default_rng(4))
+        assert rows == [16, 8] * 3
 
     @pytest.mark.slow
     def test_degenerate_single_class_discriminator_wins(self):
