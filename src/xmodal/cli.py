@@ -27,8 +27,8 @@ from .image_ae import (ImageAEConfig, ImageAutoencoder, encode_image, encode_ima
 from .mappers import (MapperConfig, MapperGenerator, map_embedding, median_heuristic,
                       mixture_kernel, mmd2_biased, train_gan_mapper, train_mmd_mapper)
 from .metrics import MetricReport, bleu, class_accuracy, rouge_l, two_sample_test
-from .text_ae import (TextAutoencoder, Vocabulary, decode_text, detokenize, encode_text,
-                      encode_texts, tokenize, train_text_autoencoder)
+from .text_ae import (TextAutoencoder, Vocabulary, decode_text, decode_texts, detokenize,
+                      encode_text, encode_texts, tokenize, train_text_autoencoder)
 
 TRAIN_STAGES = ("image-ae", "text-ae", "mapper-i2t", "mapper-t2i")
 DIRECTIONS = ("image-to-text", "text-to-image")
@@ -86,15 +86,15 @@ def colorshapes_spec(cfg: dict, seed: int) -> ColorShapesSpec:
     return spec
 
 
-def _dataset_id(ws: Workspace, cfg: dict) -> str:
-    return read_manifest(ws.dataset_dir(cfg)).get("dataset_id", "unknown")
-
-
 def _require_dataset(ws: Workspace, cfg: dict) -> Path:
     root = ws.dataset_dir(cfg)
     if not (root / "manifest.txt").is_file():
         raise MissingDependencyError(f"missing dataset (run datagen first): {root}")
     return root
+
+
+def _dataset_id(ws: Workspace, cfg: dict) -> str:
+    return read_manifest(_require_dataset(ws, cfg)).get("dataset_id", "unknown")
 
 
 def _captions(ws: Workspace, cfg: dict, split: str) -> list[tuple[int, list[str]]]:
@@ -293,9 +293,9 @@ def _text_overlap_rows(txt_model: TextAutoencoder, vocab: Vocabulary, records,
                        embeddings: np.ndarray) -> dict:
     """Overlap of each caption with the decoding of its sentence embedding."""
     bleu1_sum = bleu4_sum = rouge_sum = exact = 0
-    for (_, tokens), emb in zip(records, embeddings):
+    for (_, tokens), ids in zip(records, decode_texts(txt_model, embeddings)):
         reference = vocab.decode(vocab.encode(tokens))
-        candidate = vocab.decode(decode_text(txt_model, emb))
+        candidate = vocab.decode(ids)
         exact += int(candidate == reference)
         if candidate:
             bleu1_sum += bleu(candidate, [reference], max_n=1)

@@ -268,8 +268,12 @@ def encode_image(model: ImageAutoencoder, image: np.ndarray) -> np.ndarray:
 
 
 def encode_image_batch(model: ImageAutoencoder, images: np.ndarray) -> np.ndarray:
+    """Embeddings of an (N, 3, S, S) batch; a non-finite one raises DivergenceError."""
     with ad.no_grad():
-        return model.encoder(Tensor(images)).data.copy()
+        out = model.encoder(Tensor(images)).data.copy()
+    if not np.isfinite(out).all():
+        raise DivergenceError("the image encoder maps to non-finite values; retrain it")
+    return out
 
 
 def generate_images(model: ImageAutoencoder, psi: np.ndarray, rng: np.random.Generator,

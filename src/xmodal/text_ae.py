@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .errors import FormatError, read_utf8, write_atomic
+from .errors import DivergenceError, FormatError, read_utf8, write_atomic
 from .layers import (DenseLayer, EmbeddingTable, LSTMCell, Module, bilstm_encode, lstm_run,
                      max_over_time)
 from .optim import Adam, TrainingRun
@@ -118,7 +118,8 @@ def decoder_loss(model: TextAutoencoder, s: Tensor, input_ids: np.ndarray,
 
 def encode_texts(model: TextAutoencoder, seqs) -> np.ndarray:
     """Sentence embeddings (N, 2*hidden) of N id sequences (1 <= len <= max_len
-    each), row i for sequence i; one encoder pass per length group."""
+    each), row i for sequence i; one encoder pass per length group. A
+    non-finite embedding raises DivergenceError."""
     seqs = [np.asarray(ids, dtype=np.int64) for ids in seqs]
     for ids in seqs:
         if ids.ndim != 1 or not 1 <= ids.size <= model.max_len:
@@ -127,6 +128,8 @@ def encode_texts(model: TextAutoencoder, seqs) -> np.ndarray:
     with ad.no_grad():
         for group in _length_groups(seqs, range(len(seqs))):
             out[group] = model.encode_ids(np.stack([seqs[i] for i in group], axis=1)).data
+    if not np.isfinite(out).all():
+        raise DivergenceError("the text encoder maps to non-finite values; retrain it")
     return out
 
 
@@ -135,30 +138,40 @@ def encode_text(model: TextAutoencoder, token_ids: np.ndarray) -> np.ndarray:
     return encode_texts(model, [token_ids])[0]
 
 
-def decode_text(model: TextAutoencoder, s: np.ndarray) -> list[int]:
-    """Greedy argmax decoding from BOS until EOS or the model's max_len.
+def decode_texts(model: TextAutoencoder, s: np.ndarray) -> list[list[int]]:
+    """Greedy argmax decoding of each row of an (N, sentence_dim) batch, from
+    BOS until EOS or the model's max_len; all rows step together.
 
     PAD and BOS are suppressed so they never appear in the output; argmax
     breaks ties toward the lowest token id.
     """
-    s = np.asarray(s, dtype=np.float64).reshape(1, -1)
-    if s.shape[1] != model.sentence_dim:
-        raise ShapeError(f"sentence embedding dim {s.shape[1]} != {model.sentence_dim}")
-    out: list[int] = []
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim != 2 or s.shape[1] != model.sentence_dim:
+        raise ShapeError(f"decode_texts expects (N, {model.sentence_dim}) embeddings, "
+                         f"got {s.shape}")
+    steps = []
+    ended = np.zeros(s.shape[0], dtype=bool)
     with ad.no_grad():
         h, c = model._dec_start(Tensor(s))
-        prev = np.asarray([Vocabulary.BOS])
+        prev = np.full(s.shape[0], Vocabulary.BOS)
         for _ in range(model.max_len):
             h, c = model.dec.step(model.embed(prev), h, c)
-            logits = model.out(h).data[0].copy()
-            logits[Vocabulary.PAD] = -np.inf
-            logits[Vocabulary.BOS] = -np.inf
-            token = int(np.argmax(logits))
-            if token == Vocabulary.EOS:
+            logits = model.out(h).data
+            logits[:, Vocabulary.PAD] = -np.inf
+            logits[:, Vocabulary.BOS] = -np.inf
+            prev = np.argmax(logits, axis=1)
+            steps.append(prev)
+            ended |= prev == Vocabulary.EOS
+            if ended.all():
                 break
-            out.append(token)
-            prev = np.asarray([token])
-    return out
+    tokens = np.stack(steps, axis=1).tolist()
+    # a row that ended stops before its first EOS, the others run to max_len
+    return [row[:row.index(Vocabulary.EOS)] if done else row for row, done in zip(tokens, ended)]
+
+
+def decode_text(model: TextAutoencoder, s: np.ndarray) -> list[int]:
+    """Greedy decoding of one sentence embedding (see `decode_texts`)."""
+    return decode_texts(model, np.reshape(s, (1, -1)))[0]
 
 
 def roundtrip(model: TextAutoencoder, token_ids: np.ndarray) -> list[int]:

@@ -2,6 +2,7 @@
 
 import fcntl
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +428,46 @@ def test_mapper_with_non_finite_output_exits_5(workdir):
     assert main(["translate", "--direction", "image-to-text", "--input", str(image),
                  "--config", cfg]) == 5
     assert not (ws / "translations" / "i2t.txt").exists()
+
+
+# case -> (checkpoint, tensor set to NaN, stages trained first, command)
+NON_FINITE_ENCODER = {
+    "evaluate": ("image_ae.ckpt", "encoder.head.bias", TRAIN_STAGES,
+                 ["evaluate", "--split", "test"]),
+    "mapper-i2t": ("image_ae.ckpt", "encoder.head.bias", ("image-ae", "text-ae"),
+                   ["train", "--stage", "mapper-i2t"]),
+    "translate": ("image_ae.ckpt", "encoder.head.bias", ("image-ae", "text-ae", "mapper-i2t"),
+                  ["translate", "--direction", "image-to-text", "--input", "{image}"]),
+    "text-encoder": ("text_ae.ckpt", "enc_fwd.bias", ("image-ae", "text-ae"),
+                     ["train", "--stage", "mapper-t2i"]),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_ENCODER)
+def test_non_finite_encoder_output_exits_5_and_writes_nothing(workdir, capsys, case):
+    ws, cfg = workdir
+    name, tensor, stages, command = NON_FINITE_ENCODER[case]
+    train_stages(cfg, stages)
+    ckpt = ws / "checkpoints" / name
+    arrays = load_checkpoint(ckpt)
+    arrays[tensor][0] = np.nan
+    save_checkpoint(ckpt, list(arrays.items()))  # a valid CKPT file
+    image = sorted((ws / "dataset" / "test" / "images").iterdir())[0]
+    before = tree_bytes(ws)
+    capsys.readouterr()
+    assert main([arg.format(image=image) for arg in command] + ["--config", cfg]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and "non-finite" in err
+    assert tree_bytes(ws) == before
+
+
+def test_evaluate_without_dataset_exits_4(workdir, capsys):
+    ws, cfg = workdir
+    train_stages(cfg, TRAIN_STAGES)
+    shutil.rmtree(ws / "dataset")
+    capsys.readouterr()
+    assert main(["evaluate", "--split", "test", "--config", cfg]) == 4
+    assert "run datagen first" in capsys.readouterr().err
 
 
 # -- loading ----------------------------------------------------------------------

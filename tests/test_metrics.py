@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmodal.autodiff import ShapeError
+from xmodal.autodiff import ShapeError, Tensor
 from xmodal.data import LabeledEmbeddingSet
 from xmodal.errors import FormatError
-from xmodal.mappers import KernelSpec, mmd2_unbiased
-from xmodal.metrics import MetricReport, bleu, class_accuracy, rouge_l, two_sample_test
+from xmodal.mappers import KernelSpec, mmd2_unbiased, mmd2_weights
+from xmodal.metrics import (MetricReport, _split_mmd2, bleu, class_accuracy, rouge_l,
+                            two_sample_test)
 
 from helpers import read_metric_rows
 
@@ -179,7 +180,39 @@ class TestRougeL:
             rouge_l([], ["a"])
 
 
+def reordered_gram_test(x, y, kernel, permutations, rng):
+    """Oracle: every permutation reorders the pooled Gram matrix and weighs it
+    with the MMD^2 weights; returns the observed and every permuted statistic."""
+    n, m = len(x), len(y)
+    w = mmd2_weights(n, m, unbiased=True)
+    pooled = Tensor(np.concatenate([x, y]))
+    gram = kernel.gram(pooled, pooled).data
+    permuted = []
+    for _ in range(permutations):
+        perm = rng.permutation(n + m)
+        permuted.append(np.vdot(gram.take(perm, 0).take(perm, 1), w))
+    return float(np.vdot(gram, w)), np.asarray(permuted)
+
+
 class TestTwoSampleTest:
+    @pytest.mark.parametrize("shift, permutations", [(0.0, 60), (0.0, 600), (0.4, 600), (3.0, 60)])
+    def test_matches_reordered_gram(self, shift, permutations):
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(20, 3)), rng.normal(size=(17, 3)) + shift
+        kernel = KernelSpec((0.5, 2.0))
+        observed, permuted = reordered_gram_test(x, y, kernel, permutations,
+                                                 np.random.default_rng(12))
+        pooled = Tensor(np.concatenate([x, y]))
+        stats = _split_mmd2(kernel.gram(pooled, pooled).data, mmd2_weights(20, 17, unbiased=True),
+                            20, permutations, np.random.default_rng(12))
+        # each statistic is a difference of kernel means of order 1, so one
+        # near 0 carries their rounding: compare at the scale of the largest
+        np.testing.assert_allclose(stats[1:], permuted, rtol=1e-12,
+                                   atol=1e-12 * np.abs(permuted).max())
+        stat, p = two_sample_test(x, y, kernel, permutations, np.random.default_rng(12))
+        assert stat == observed
+        assert p == (1 + np.count_nonzero(permuted >= observed)) / (permutations + 1)
+
     def test_statistic_matches_op(self):
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(12, 4)), rng.normal(size=(10, 4))

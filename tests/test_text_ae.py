@@ -9,8 +9,8 @@ from xmodal import autodiff as ad
 from xmodal.autodiff import ShapeError, Tensor, backward
 from xmodal.errors import FormatError
 from xmodal.layers import bilstm_encode
-from xmodal.text_ae import (TextAutoencoder, Vocabulary, decode_text, decoder_loss, detokenize,
-                            encode_text, encode_texts, roundtrip, tokenize,
+from xmodal.text_ae import (TextAutoencoder, Vocabulary, decode_text, decode_texts, decoder_loss,
+                            detokenize, encode_text, encode_texts, roundtrip, tokenize,
                             train_text_autoencoder)
 
 from helpers import gradient_check
@@ -162,6 +162,65 @@ class TestDecode:
         model = make_model(vocab)
         with pytest.raises(ShapeError):
             decode_text(model, np.zeros(64))
+
+
+def decode_one_row(model, s):
+    """Oracle: greedy decoding of one embedding by stepping the cell on one row."""
+    out = []
+    with ad.no_grad():
+        h, c = Tensor(s.reshape(1, -1)), Tensor(np.zeros((1, model.sentence_dim)))
+        prev = np.asarray([Vocabulary.BOS])
+        for _ in range(model.max_len):
+            h, c = model.dec.step(model.embed(prev), h, c)
+            logits = model.out(h).data[0].copy()
+            logits[Vocabulary.PAD] = -np.inf
+            logits[Vocabulary.BOS] = -np.inf
+            token = int(np.argmax(logits))
+            if token == Vocabulary.EOS:
+                break
+            out.append(token)
+            prev = np.asarray([token])
+    return out
+
+
+class TestDecodeTexts:
+    """The batch decoder steps all rows together and matches one-row decoding."""
+
+    def model_and_batch(self, n=12):
+        model = make_model(Vocabulary.from_corpus(CORPUS), seed=1, max_len=8)
+        model.out.bias.data[Vocabulary.EOS] += 0.25  # some rows end early, some run to max_len
+        return model, np.random.default_rng(1).normal(size=(n, 100)) * 3.0
+
+    def test_matches_one_row_decoding_at_mixed_lengths(self):
+        model, s = self.model_and_batch()
+        got = decode_texts(model, s)
+        assert got == [decode_one_row(model, row) for row in s]
+        lengths = {len(ids) for ids in got}
+        assert 0 in lengths and model.max_len in lengths and len(lengths) >= 4
+
+    def test_row_at_max_len_keeps_every_token(self):
+        model, s = self.model_and_batch()
+        model.out.bias.data[Vocabulary.EOS] = -1e3  # no row ever ends on EOS
+        got = decode_texts(model, s)
+        assert all(len(ids) == model.max_len for ids in got)
+        assert got == [decode_one_row(model, row) for row in s]
+
+    def test_all_tie_row_decodes_to_nothing(self):
+        model, s = self.model_and_batch(n=3)
+        model.out.weight.data[:] = 0.0
+        model.out.bias.data[:] = 0.0  # every logit ties; PAD and BOS are suppressed, EOS wins
+        assert decode_texts(model, s) == [[], [], []]
+        assert decode_one_row(model, s[0]) == []
+
+    def test_one_row_is_decode_text(self):
+        model, s = self.model_and_batch(n=1)
+        assert decode_texts(model, s) == [decode_text(model, s[0])] == [decode_one_row(model, s[0])]
+
+    @pytest.mark.parametrize("shape", [(100,), (3, 64), (3, 101), (2, 3, 100)])
+    def test_bad_shape_rejected(self, shape):
+        model, _ = self.model_and_batch()
+        with pytest.raises(ShapeError):
+            decode_texts(model, np.zeros(shape))
 
 
 class TestDecoderLoss:
