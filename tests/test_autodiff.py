@@ -255,16 +255,23 @@ class TestConv2d:
         np.testing.assert_allclose(got[0], conv_loop_oracle(x[0], k, stride, padding),
                                    atol=1e-12, rtol=0)
 
-    @pytest.mark.parametrize("batch", [None, 1, 3], ids=["chw", "n1", "n3"])
+    @pytest.mark.parametrize("batch, c_in, c_out, min_h", [
+        (None, 2, 3, 5), (1, 2, 3, 5), (3, 2, 3, 5),
+        (1, 16, 16, 4), (3, 16, 16, 4),
+    ], ids=["chw", "n1", "n3", "n1_c16", "n3_c16"])
     @pytest.mark.parametrize("kernel", [1, 3, 4])
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_forward_and_gradients_vs_loop_oracle(self, stride, padding, kernel, batch):
+    def test_forward_and_gradients_vs_loop_oracle(self, stride, padding, kernel, batch, c_in, c_out,
+                                                  min_h):
         # chw: one (C, H, W) sample, given with a leading batch axis of 1 and
-        # checked unbatched against the per-sample loops
+        # checked unbatched against the per-sample loops. c16: 16 channels from
+        # a 4-px height, where the small outputs take d kernels as one GEMM over
+        # the batch (2x3 at stride 2 with a 4x4 kernel and padding 1, like the
+        # encoder's conv3). Stride 2 takes 1x1 and 3x3 kernels through the
+        # zero-padded taps of the depth-to-space input gradient
         rng = np.random.default_rng(40)
-        c_in, c_out = 2, 3
-        h = next(s for s in range(5, 5 + stride) if (s + 2 * padding - kernel) % stride == 0)
+        h = next(s for s in range(min_h, min_h + stride) if (s + 2 * padding - kernel) % stride == 0)
         w = h + stride  # a non-square input keeps the two spatial axes apart
         x = t(rng.normal(size=(1 if batch is None else batch, c_in, h, w)), grad=True)
         k = t(rng.normal(size=(c_out, c_in, kernel, kernel)), grad=True)
@@ -299,6 +306,19 @@ class TestConv2d:
         x, k = t(x_data, grad=True), t(k_data)
         backward(ad.reduce("sum", ad.conv2d(x, k, 1, 1)))
         assert k.grad is None and x.grad is not None
+
+    def test_strided_input_gradient_skips_col2im_and_joins_keep_it(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        folded = []
+        col2im = ad._col2im
+        monkeypatch.setattr(ad, "_col2im", lambda *args: folded.append(args[1]) or col2im(*args))
+        x, k = t(rng.normal(size=(2, 3, 8, 8)), grad=True), t(rng.normal(size=(4, 3, 4, 4)), grad=True)
+        backward(ad.reduce("sum", ad.conv2d(x, k, 2, 1)))
+        assert folded == [] and x.grad is not None and k.grad is not None
+
+        x, k = t(rng.normal(size=(2, 3, 4, 4)), grad=True), t(rng.normal(size=(4, 3, 3, 3)), grad=True)
+        backward(ad.reduce("sum", ad.conv2d(x, k, 1, 1, upsample=2)))
+        assert folded == [(2, 3, 6, 6)] and x.grad is not None
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(5)
