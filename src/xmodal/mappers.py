@@ -85,16 +85,14 @@ def mmd2_unbiased(x, y, kernel: KernelSpec) -> Tensor:
     return _mmd2(x, y, kernel, unbiased=True)
 
 
-def median_heuristic(x: np.ndarray, y: np.ndarray) -> float:
-    """Base bandwidth: sigma0^2 = median pairwise squared distance / 2.
+def median_heuristic(d: np.ndarray) -> float:
+    """Base bandwidth from the pooled points' squared distances d: sigma0^2 = median / 2.
 
     Falls back to 1.0 (with a warning) when all pooled points coincide.
     """
-    pooled = Tensor(np.concatenate([x, y]))
-    if pooled.shape[0] < 2:
+    if d.shape[0] < 2:
         raise ShapeError("median_heuristic needs at least 2 pooled points")
-    d = ad.pairwise_sq_dists(pooled, pooled).data
-    upper = d[np.triu_indices(pooled.shape[0], k=1)]
+    upper = d[np.triu_indices(d.shape[0], k=1)]
     if upper.max() == 0.0:
         logger.warning("median_heuristic: all pooled points identical; using sigma0 = 1")
         return 1.0
@@ -258,11 +256,9 @@ def train_mmd_mapper(source: np.ndarray, target: np.ndarray, cfg: MapperConfig,
         return critic.encode(x) if critic else x
 
     with ad.no_grad():
-        probe_t = _strided_sample(target, 128)
-        probe_s = gen(Tensor(_strided_sample(source, 128))).data
-        fx = features(Tensor(probe_t)).data
-        fy = features(Tensor(probe_s)).data
-    sigma0 = median_heuristic(fx, fy)
+        probes = (_strided_sample(target, 128), gen(Tensor(_strided_sample(source, 128))).data)
+        pooled = Tensor(np.concatenate([features(Tensor(p)).data for p in probes]))
+        sigma0 = median_heuristic(ad.pairwise_sq_dists(pooled, pooled).data)
     if not np.isfinite(sigma0):
         raise DivergenceError("non-finite embeddings in the mmd mapper bandwidth probe",
                               run.last_good)

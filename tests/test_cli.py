@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xmodal import autodiff as ad
 from xmodal import cli, layers
 from xmodal.checkpoint import load_checkpoint, load_into, save_checkpoint, save_module
 from xmodal.cli import (TRAIN_STAGES, Workspace, load_image_model, load_mapper, load_text_model,
@@ -417,6 +418,25 @@ def test_evaluate_reads_each_split_of_captions_once(workdir, monkeypatch):
     assert sorted(splits) == ["test", "train"]
 
 
+def test_evaluate_builds_one_distance_matrix_and_one_gram_per_direction(workdir, monkeypatch):
+    ws, cfg = workdir
+    train_stages(cfg, TRAIN_STAGES)
+    calls = []
+
+    def counted(name):
+        op = getattr(ad, name)
+
+        def call(*args):
+            calls.append(name)
+            return op(*args)
+        return call
+
+    for name in ("pairwise_sq_dists", "rbf_mixture"):
+        monkeypatch.setattr(ad, name, counted(name))
+    assert main(["evaluate", "--split", "test", "--config", cfg]) == 0
+    assert sorted(calls) == ["pairwise_sq_dists"] * 2 + ["rbf_mixture"] * 2
+
+
 def test_mapper_with_non_finite_output_exits_5(workdir):
     ws, cfg = workdir
     train_stages(cfg, TRAIN_STAGES)
@@ -697,6 +717,17 @@ class TestPipeline:
         for metric in ("class_acc_i2t", "class_acc_t2i", "bleu1_text_ae", "rougeL_text_ae",
                        "mmd2_unbiased_i2t", "pvalue_t2i", "roundtrip_exact_pct"):
             assert metric in report
+
+
+def test_one_parser_serves_every_call(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    assert parser.parse_args(["evaluate", "--split", "train"]).split == "train"
+    assert parser.parse_args(["evaluate"]).split == "test"  # no state kept between parses
+    for argv, code in ((["--help"], 0), (["evaluate", "--split", "dev"], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
 
 
 def test_help_documents_config(capsys):

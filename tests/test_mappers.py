@@ -21,6 +21,11 @@ def rbf_mixture_value(x, y, bandwidths):
     return sum(np.exp(-d2 / (2.0 * s * s)) for s in bandwidths)
 
 
+def pooled_median(x, y):
+    pooled = Tensor(np.concatenate([x, y]))
+    return median_heuristic(ad.pairwise_sq_dists(pooled, pooled).data)
+
+
 def mmd2_biased_loop(x, y, bandwidths):
     m, n = len(x), len(y)
     kxx = sum(rbf_mixture_value(a, b, bandwidths) for a in x for b in x)
@@ -216,22 +221,31 @@ class TestMMDEstimators:
 
 class TestMedianHeuristic:
     def test_single_pair(self):
-        sigma0 = median_heuristic(np.array([[0.0]]), np.array([[2.0]]))
+        sigma0 = median_heuristic(np.array([[0.0, 4.0], [4.0, 0.0]]))
         assert sigma0 == pytest.approx(np.sqrt(2.0))
+
+    def test_median_of_the_upper_triangle(self):
+        # the diagonal and the lower triangle are not read
+        d = np.array([[9.0, 2.0, 8.0], [0.0, 9.0, 18.0], [0.0, 0.0, 9.0]])
+        assert median_heuristic(d) == 2.0
 
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(6)
         x, y = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
-        base = median_heuristic(x, y)
+        base = pooled_median(x, y)
         for lam in (0.1, 3.0, 42.0):
-            assert median_heuristic(lam * x, lam * y) == pytest.approx(lam * base, rel=1e-12)
+            assert pooled_median(lam * x, lam * y) == pytest.approx(lam * base, rel=1e-12)
 
     def test_degenerate_fallback_warns(self, caplog):
         import logging
         with caplog.at_level(logging.WARNING, logger="xmodal.mappers"):
-            sigma0 = median_heuristic(np.ones((3, 2)), np.ones((4, 2)))
+            sigma0 = pooled_median(np.ones((3, 2)), np.ones((4, 2)))
         assert sigma0 == 1.0
         assert any("identical" in rec.message for rec in caplog.records)
+
+    def test_needs_two_points(self):
+        with pytest.raises(ShapeError):
+            median_heuristic(np.zeros((1, 1)))
 
     def test_mixture_scales(self):
         kernel = mixture_kernel(2.0)
@@ -307,7 +321,7 @@ class TestGanMapper:
         cfg = MapperConfig(kind="gan", steps=300, hidden=64, lr=1e-3)
         gen = train_gan_mapper(source, target, cfg, np.random.default_rng(8))
         untrained = MapperGenerator(8, 5, 64, np.random.default_rng(9))
-        kernel = mixture_kernel(median_heuristic(target, target))
+        kernel = mixture_kernel(pooled_median(target, target))
         before = mmd2_unbiased(map_embedding(untrained, source), target, kernel).item()
         after = mmd2_unbiased(map_embedding(gen, source), target, kernel).item()
         assert after < before
@@ -327,7 +341,7 @@ class TestMmdMapper:
         # replay: generator init consumes the stream first, then batch draws
         replay = np.random.default_rng(5)
         gen2 = MapperGenerator(6, 4, cfg.hidden, replay)
-        kernel = mixture_kernel(median_heuristic(target, map_embedding(gen2, source)))
+        kernel = mixture_kernel(pooled_median(target, map_embedding(gen2, source)))
         for row in rows:
             xb = target[replay.integers(0, 100, size=16)]
             fake = map_embedding(gen2, source[replay.integers(0, 100, size=16)])

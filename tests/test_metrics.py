@@ -1,14 +1,17 @@
 """Evaluation metric oracles: cosine accuracy, BLEU, ROUGE-L, two-sample test."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xmodal import autodiff as ad
 from xmodal.autodiff import ShapeError, Tensor
 from xmodal.data import LabeledEmbeddingSet
 from xmodal.errors import FormatError
-from xmodal.mappers import KernelSpec, mmd2_unbiased, mmd2_weights
+from xmodal.mappers import KernelSpec, mixture_kernel, mmd2_biased, mmd2_unbiased, mmd2_weights
 from xmodal.metrics import (MetricReport, _split_mmd2, bleu, class_accuracy, rouge_l,
                             two_sample_test)
 
@@ -194,6 +197,19 @@ def reordered_gram_test(x, y, kernel, permutations, rng):
     return float(np.vdot(gram, w)), np.asarray(permuted)
 
 
+def median_kernel(x, y):
+    """Reference: the mixture kernel at the median-heuristic bandwidth of the
+    pooled rows, built from its own distance matrix."""
+    pooled = Tensor(np.concatenate([x, y]))
+    d = ad.pairwise_sq_dists(pooled, pooled).data
+    upper = d[np.triu_indices(len(d), k=1)]
+    return mixture_kernel(1.0 if upper.max() == 0.0 else float(np.sqrt(np.median(upper) / 2.0)))
+
+
+def p_value(permuted, observed):
+    return (1 + np.count_nonzero(permuted >= observed)) / (len(permuted) + 1)
+
+
 class TestTwoSampleTest:
     @pytest.mark.parametrize("shift, permutations", [(0.0, 60), (0.0, 600), (0.4, 600), (3.0, 60)])
     def test_matches_reordered_gram(self, shift, permutations):
@@ -203,43 +219,64 @@ class TestTwoSampleTest:
         observed, permuted = reordered_gram_test(x, y, kernel, permutations,
                                                  np.random.default_rng(12))
         pooled = Tensor(np.concatenate([x, y]))
-        stats = _split_mmd2(kernel.gram(pooled, pooled).data, mmd2_weights(20, 17, unbiased=True),
-                            20, permutations, np.random.default_rng(12))
+        gram = kernel.gram(pooled, pooled).data
+        w = mmd2_weights(20, 17, unbiased=True)
+        stats = _split_mmd2(gram, w, 20, permutations, np.random.default_rng(12))
         # each statistic is a difference of kernel means of order 1, so one
         # near 0 carries their rounding: compare at the scale of the largest
         np.testing.assert_allclose(stats[1:], permuted, rtol=1e-12,
                                    atol=1e-12 * np.abs(permuted).max())
-        stat, p = two_sample_test(x, y, kernel, permutations, np.random.default_rng(12))
-        assert stat == observed
-        assert p == (1 + np.count_nonzero(permuted >= observed)) / (permutations + 1)
+        assert stats[0] == pytest.approx(observed, rel=1e-12, abs=1e-12)
+        assert p_value(stats[1:], stats[0]) == p_value(permuted, observed)
+
+    @pytest.mark.parametrize("sizes, identical", [((13, 9), False), ((6, 11), False),
+                                                  ((5, 4), True)])
+    def test_equals_the_composed_estimators_bit_for_bit(self, sizes, identical, caplog):
+        rng = np.random.default_rng(sum(sizes))
+        if identical:  # every pooled distance is 0: sigma0 falls back to 1
+            x, y = np.full((sizes[0], 3), 0.7), np.full((sizes[1], 3), 0.7)
+        else:
+            x, y = rng.normal(size=(sizes[0], 3)), rng.normal(size=(sizes[1], 3)) + 0.3
+        kernel = median_kernel(x, y)
+        observed, permuted = reordered_gram_test(x, y, kernel, 99, np.random.default_rng(3))
+        pooled = Tensor(np.concatenate([x, y]))
+        gram = kernel.gram(pooled, pooled).data
+        with caplog.at_level(logging.WARNING, logger="xmodal.mappers"):
+            unbiased, biased, p = two_sample_test(x, y, 99, np.random.default_rng(3))
+        assert unbiased == np.vdot(gram, mmd2_weights(*sizes, unbiased=True)) == observed
+        assert biased == mmd2_biased(x, y, kernel).item()
+        assert p == p_value(permuted, observed)
+        assert any("identical" in rec.message for rec in caplog.records) == identical
+        if identical:
+            assert kernel.bandwidths == mixture_kernel(1.0).bandwidths and p == 1.0
 
     def test_statistic_matches_op(self):
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(12, 4)), rng.normal(size=(10, 4))
-        kernel = KernelSpec((1.0, 2.0))
-        stat, _ = two_sample_test(x, y, kernel, permutations=10, rng=np.random.default_rng(1))
-        assert stat == pytest.approx(mmd2_unbiased(x, y, kernel).item(), abs=1e-12)
+        kernel = median_kernel(x, y)
+        unbiased, biased, _ = two_sample_test(x, y, permutations=10, rng=np.random.default_rng(1))
+        assert unbiased == pytest.approx(mmd2_unbiased(x, y, kernel).item(), abs=1e-12)
+        assert biased == pytest.approx(mmd2_biased(x, y, kernel).item(), abs=1e-12)
+        assert biased >= 0.0
 
     def test_shift_gives_minimal_p(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(20, 3))
         y = rng.normal(size=(20, 3)) + 25.0
-        _, p = two_sample_test(x, y, KernelSpec((2.0,)), permutations=200,
-                               rng=np.random.default_rng(3))
+        _, _, p = two_sample_test(x, y, permutations=200, rng=np.random.default_rng(3))
         assert p == pytest.approx(1.0 / 201.0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
-        kernel = KernelSpec((1.0,))
-        a = two_sample_test(x, y, kernel, permutations=50, rng=np.random.default_rng(9))
-        b = two_sample_test(x, y, kernel, permutations=50, rng=np.random.default_rng(9))
+        a = two_sample_test(x, y, permutations=50, rng=np.random.default_rng(9))
+        b = two_sample_test(x, y, permutations=50, rng=np.random.default_rng(9))
         assert a == b
 
     def test_too_small_batch_rejected(self):
         with pytest.raises(ShapeError):
-            two_sample_test(np.ones((1, 2)), np.ones((5, 2)), KernelSpec((1.0,)),
-                            permutations=10, rng=np.random.default_rng(0))
+            two_sample_test(np.ones((1, 2)), np.ones((5, 2)), permutations=10,
+                            rng=np.random.default_rng(0))
 
     @pytest.mark.slow
     def test_calibration_under_null(self):
@@ -250,7 +287,7 @@ class TestTwoSampleTest:
         for _ in range(trials):
             x = rng.normal(size=(30, 4))
             y = rng.normal(size=(30, 4))
-            _, p = two_sample_test(x, y, KernelSpec((2.0,)), permutations=200, rng=rng)
+            _, _, p = two_sample_test(x, y, permutations=200, rng=rng)
             rejections += p <= 0.05
         assert 0.02 <= rejections / trials <= 0.08
 
