@@ -4,14 +4,14 @@ Every operation records a node on an implicit computation graph (child ->
 parent links plus a backward closure). `backward` consumes the graph as it
 goes: each interior node drops its links, closure and gradient as soon as its
 rule has run, a failed pass leaves nothing partial in interior nodes, and a
-second traversal through any consumed node raises. A matmul's backward does
-not form its right operand's gradient on the spot: it records the pair
-(left operand, output gradient) on that operand, and `backward` settles all
-of a node's pairs with one GEMM when the node's own turn comes, so a weight
-used at every step of a sequence gets one product per sequence, not one per
-step. Broadcasting is
-deliberately restricted to scalar-with-tensor; rank mismatches are errors,
-and structural changes go through explicit ops (reshape, concat, narrow).
+second traversal through any consumed node raises. A matmul's (or an LSTM
+step's) backward does not form its weight's gradient on the spot: it records
+the pair (left operand, output gradient) on that operand, and `backward`
+settles all of a node's pairs with one GEMM when the node's own turn comes, so
+a weight used at every step of a sequence gets one product per sequence, not
+one per step. Broadcasting is deliberately restricted to scalar-with-tensor;
+rank mismatches are errors, and structural changes go through explicit ops
+(reshape, concat, narrow).
 """
 
 from __future__ import annotations
@@ -322,41 +322,54 @@ def transpose(a: Tensor) -> Tensor:
     return out
 
 
-def lstm_pointwise(pre: Tensor, c_prev: Tensor) -> Tensor:
-    """The pointwise half of an LSTM step as one node: [h_t | c_t], (batch, 2H).
+def lstm_step(x: Tensor, hc_prev: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """One LSTM step as one node: the state [h_t | c_t] (batch, 2H) from the input
+    x (batch, D) and the state [h | c] before it.
 
-    `pre` (batch, 4H) holds the gate pre-activations in input, forget, output,
-    candidate order. c_t = f*c_prev + i*g and h_t = o*tanh(c_t), with sigmoid
-    gates i, f, o and the tanh candidate g. Forward and backward form every
-    product in the order the separate sigmoid/tanh/narrow/mul/add rules do.
+    The gate pre-activations [x | h] @ weight + bias hold the input, forget,
+    output and candidate gates; c_t = f*c + i*g and h_t = o*tanh(c_t). Forward
+    and backward form every product in the order the separate concat, matmul,
+    add_rowvec, sigmoid, tanh, narrow, mul and add rules do; the weight's
+    gradient is a matmul pair (see `_settle`).
     """
-    if (pre.data.ndim != 2 or c_prev.data.ndim != 2 or pre.shape[0] != c_prev.shape[0]
-            or pre.shape[1] != 4 * c_prev.shape[1]):
-        raise ShapeError(f"lstm_pointwise: incompatible shapes {pre.shape} and {c_prev.shape}")
-    hid = c_prev.shape[1]
-    ifo = _sigmoid(pre.data[:, :3 * hid])
-    g = np.tanh(pre.data[:, 3 * hid:])
+    hid = hc_prev.shape[1] // 2 if hc_prev.data.ndim == 2 else -1
+    if (x.data.ndim != 2 or hc_prev.shape != (x.shape[0], 2 * hid)
+            or weight.shape != (x.shape[1] + hid, 4 * hid) or bias.shape != (4 * hid,)):
+        raise ShapeError(f"lstm_step: incompatible shapes {x.shape}, {hc_prev.shape}, "
+                         f"{weight.shape} and {bias.shape}")
+    dim, c_prev = x.shape[1], hc_prev.data[:, hid:]
+    xh = np.concatenate([x.data, hc_prev.data[:, :hid]], axis=1)
+    pre = xh @ weight.data + bias.data
+    ifo = _sigmoid(pre[:, :3 * hid])
+    g = np.tanh(pre[:, 3 * hid:])
     i, f, o = ifo[:, :hid], ifo[:, hid:2 * hid], ifo[:, 2 * hid:]
-    hc = np.empty((pre.shape[0], 2 * hid))
-    c = np.add(f * c_prev.data, i * g, out=hc[:, hid:])
+    hc = np.empty_like(hc_prev.data)
+    c = np.add(f * c_prev, i * g, out=hc[:, hid:])
     tc = np.tanh(c)
     np.multiply(o, tc, out=hc[:, :hid])
 
     def backward_fn():
         gh, gc = out.grad[:, :hid], out.grad[:, hid:]
         dc = gc + (gh * o) * (1.0 - tc * tc)
-        if pre.requires_grad:
-            d = np.empty_like(pre.data)
-            np.multiply(dc, g, out=d[:, :hid])
-            np.multiply(dc, c_prev.data, out=d[:, hid:2 * hid])
-            np.multiply(gh, tc, out=d[:, 2 * hid:3 * hid])
-            d[:, :3 * hid] *= ifo * (1.0 - ifo)
-            np.multiply(dc * i, 1.0 - g * g, out=d[:, 3 * hid:])
-            pre._accumulate(d)
-        if c_prev.requires_grad:
-            c_prev._accumulate(dc * f)
+        d = np.empty_like(pre)
+        np.multiply(dc, g, out=d[:, :hid])
+        np.multiply(dc, c_prev, out=d[:, hid:2 * hid])
+        np.multiply(gh, tc, out=d[:, 2 * hid:3 * hid])
+        d[:, :3 * hid] *= ifo * (1.0 - ifo)
+        np.multiply(dc * i, 1.0 - g * g, out=d[:, 3 * hid:])
+        if bias.requires_grad:
+            bias._accumulate(d.sum(axis=0))
+        if weight.requires_grad:
+            if weight._matmul_pairs is None:
+                weight._matmul_pairs = []
+            weight._matmul_pairs.append((xh, d))
+        if x.requires_grad or hc_prev.requires_grad:
+            dxh = d @ weight.data.T  # whole, as the composed matmul rule forms it
+            x._accumulate(dxh[:, :dim])
+            if hc_prev.requires_grad:
+                hc_prev._accumulate(np.concatenate([dxh[:, dim:], dc * f], axis=1))
 
-    out = _make_node(hc, (pre, c_prev), backward_fn)
+    out = _make_node(hc, (x, hc_prev, weight, bias), backward_fn)
     return out
 
 

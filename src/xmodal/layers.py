@@ -51,7 +51,6 @@ class DenseLayer(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
         self.in_dim = in_dim
-        self.out_dim = out_dim
         self.weight = self._register("weight", Tensor(glorot_uniform(rng, (out_dim, in_dim), in_dim, out_dim)))
         self.bias = self._register("bias", Tensor(np.zeros(out_dim)))
 
@@ -86,7 +85,6 @@ class EmbeddingTable(Module):
 
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         super().__init__()
-        self.vocab_size = vocab_size
         self.dim = dim
         self.table = self._register("table", Tensor(glorot_uniform(rng, (vocab_size, dim), vocab_size, dim)))
 
@@ -98,19 +96,16 @@ class LSTMCell(Module):
     """Single LSTM cell over one fused gate matrix.
 
     `weight` is (input+hidden, 4*hidden) and `bias` is (4*hidden,), their
-    columns in `GATES` order, so each step runs one matmul over all four
-    gates. The gate nonlinearities and the state update are one
-    `ad.lstm_pointwise` node, whose [h_t | c_t] the step splits with two
-    narrows. Each gate's block is drawn as its own Glorot matrix (fan-out
-    `hidden`); the forget-gate bias starts at +1 so early training keeps
-    cell memory.
+    columns in `GATES` order. The state is one (batch, 2*hidden) tensor [h | c]
+    and a step is one `ad.lstm_step` node. Each gate's block is drawn as its
+    own Glorot matrix (fan-out `hidden`); the forget-gate bias starts at +1 so
+    early training keeps cell memory.
     """
 
     GATES = ("input", "forget", "output", "candidate")  # sigmoid gates first, then tanh
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         super().__init__()
-        self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         cat = input_dim + hidden_dim
         blocks = [glorot_uniform(rng, (hidden_dim, cat), cat, hidden_dim) for _ in self.GATES]
@@ -119,49 +114,39 @@ class LSTMCell(Module):
         self.weight = self._register("weight", Tensor(np.concatenate(blocks).T))
         self.bias = self._register("bias", Tensor(bias))
 
-    def step(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        if x_t.data.ndim != 2 or x_t.shape[1] != self.input_dim:
-            raise ShapeError(f"lstm step expects (batch, {self.input_dim}) input, got {x_t.shape}")
-        if h_prev.shape != (x_t.shape[0], self.hidden_dim) or c_prev.shape != h_prev.shape:
-            raise ShapeError(f"lstm state shapes {h_prev.shape}/{c_prev.shape} do not match batch "
-                             f"{x_t.shape[0]} x hidden {self.hidden_dim}")
-        hid = self.hidden_dim
-        pre = ad.add_rowvec(ad.matmul(ad.concat([x_t, h_prev], axis=1), self.weight), self.bias)
-        hc = ad.lstm_pointwise(pre, c_prev)
-        return ad.narrow(hc, 1, 0, hid), ad.narrow(hc, 1, hid, hid)
+    def step(self, x_t: Tensor, hc_prev: Tensor) -> Tensor:
+        return ad.lstm_step(x_t, hc_prev, self.weight, self.bias)
 
-    def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        z = np.zeros((batch, self.hidden_dim))
-        return Tensor(z), Tensor(z.copy())
+    def zero_state(self, batch: int) -> Tensor:
+        return Tensor(np.zeros((batch, 2 * self.hidden_dim)))
 
 
 def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False,
-             state: tuple[Tensor, Tensor] | None = None) -> list[Tensor]:
-    """Run a cell over a time-major (T, batch, dim) tensor from `state` (h, c),
-    zeros if None; returns h_t per step. Step t narrows rows t*batch:(t+1)*batch
-    of the input, viewed once as (T*batch, dim)."""
+             state: Tensor | None = None) -> Tensor:
+    """Run a cell over a time-major (T, batch, dim) tensor from `state` [h | c],
+    zeros if None; returns h_t of step t at rows t*batch:(t+1)*batch of one
+    (T*batch, hidden) tensor. Step t narrows those rows of the input, viewed
+    once as (T*batch, dim), and steps the cell: 2 nodes per step and 3 per run."""
     if inputs.data.ndim != 3:
         raise ShapeError(f"lstm_run expects (T, batch, dim), got {inputs.shape}")
     t_steps, batch, dim = inputs.shape
     if t_steps < 1:
         raise ShapeError("empty sequence")
-    h, c = cell.zero_state(batch) if state is None else state
+    hc = cell.zero_state(batch) if state is None else state
     rows = ad.reshape(inputs, (t_steps * batch, dim))
-    outputs: list = [None] * t_steps
+    states: list = [None] * t_steps
     for t in reversed(range(t_steps)) if reverse else range(t_steps):
-        h, c = cell.step(ad.narrow(rows, 0, t * batch, batch), h, c)
-        outputs[t] = h
-    return outputs
+        hc = cell.step(ad.narrow(rows, 0, t * batch, batch), hc)
+        states[t] = hc
+    return ad.narrow(ad.concat(states, axis=0), 1, 0, cell.hidden_dim)
 
 
 def bilstm_encode(forward_cell: LSTMCell, backward_cell: LSTMCell, inputs: Tensor) -> Tensor:
-    """Concatenate forward and backward hidden states per timestep.
-
-    Output is (T, batch, 2*hidden): position t holds the forward state after
-    reading x_0..x_t next to the backward state after reading x_{T-1}..x_t.
-    """
-    steps = zip(lstm_run(forward_cell, inputs), lstm_run(backward_cell, inputs, reverse=True))
-    return ad.stack0([ad.concat([f, b], axis=1) for f, b in steps])
+    """Output is (T, batch, 2*hidden): position t holds the forward state after
+    reading x_0..x_t next to the backward state after reading x_{T-1}..x_t, the
+    two runs' outputs joined side by side by one concat and one reshape."""
+    fwd, bwd = lstm_run(forward_cell, inputs), lstm_run(backward_cell, inputs, reverse=True)
+    return ad.reshape(ad.concat([fwd, bwd], axis=1), inputs.shape[:2] + (2 * fwd.shape[1],))
 
 
 def max_over_time(h: Tensor) -> Tensor:

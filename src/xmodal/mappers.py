@@ -109,7 +109,6 @@ class MapperGenerator(Module):
     def __init__(self, source_dim: int, target_dim: int, hidden: int, rng: np.random.Generator):
         super().__init__()
         self.source_dim = source_dim
-        self.target_dim = target_dim
         self.l1 = self._child("l1", DenseLayer(source_dim, hidden, rng))
         self.l2 = self._child("l2", DenseLayer(hidden, hidden, rng))
         self.l3 = self._child("l3", DenseLayer(hidden, target_dim, rng))

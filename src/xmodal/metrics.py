@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .data import LabeledEmbeddingSet
-from .errors import FormatError, write_atomic
+from .errors import DivergenceError, FormatError, write_atomic
 from .mappers import median_heuristic, mixture_kernel, mmd2_weights
 
 logger = logging.getLogger(__name__)
@@ -25,6 +25,8 @@ _SPLIT_BLOCK = 256  # permuted splits scored per GEMM in two_sample_test
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if not np.isfinite(norms).all():  # x/inf would read as a zero embedding
+        raise DivergenceError("class_accuracy: an embedding norm is not finite; retrain its model")
     zero = norms[:, 0] == 0.0
     if zero.any():
         logger.warning("class_accuracy: %d zero embedding(s); their similarities are 0", zero.sum())
@@ -163,6 +165,8 @@ def two_sample_test(x: np.ndarray, y: np.ndarray, permutations: int,
     w = mmd2_weights(n, m, unbiased=True)
     pooled = Tensor(np.concatenate([x, y]))
     d = ad.pairwise_sq_dists(pooled, pooled)
+    if not np.isfinite(d.data).all():  # finite embeddings whose squares overflow
+        raise DivergenceError("two_sample_test: the squared distances overflow; retrain the model")
     gram = ad.rbf_mixture(d, mixture_kernel(median_heuristic(d.data)).bandwidths).data
     # never negative but for round-off, which is clamped as ad.relu clamps it
     biased = float(np.fmax(np.sum(gram * mmd2_weights(n, m, unbiased=False)), 0.0) + 0.0)

@@ -72,8 +72,6 @@ class TextAutoencoder(Module):
     def __init__(self, vocab_size: int, embed_dim: int, hidden: int, rng: np.random.Generator,
                  max_len: int = 24):
         super().__init__()
-        self.vocab_size = vocab_size
-        self.embed_dim = embed_dim
         self.hidden = hidden
         self.sentence_dim = 2 * hidden
         self.max_len = max_len
@@ -91,10 +89,10 @@ class TextAutoencoder(Module):
 
     # -- decoding ----------------------------------------------------------
 
-    def _dec_start(self, s: Tensor) -> tuple[Tensor, Tensor]:
+    def _dec_start(self, s: Tensor) -> Tensor:
         # sentence embedding becomes the initial hidden state directly
         # (decoder hidden size equals the embedding size); cell starts at zero
-        return s, Tensor(np.zeros((s.shape[0], self.sentence_dim)))
+        return ad.concat([s, Tensor(np.zeros((s.shape[0], self.sentence_dim)))], axis=1)
 
     def decoder_logits(self, s: Tensor, input_ids: np.ndarray) -> Tensor:
         """Teacher-forced decoder: time-major (T*batch, vocab) logits.
@@ -103,8 +101,7 @@ class TextAutoencoder(Module):
         the output layer then runs once over all T*batch states, so row
         t*batch + b is step t of sequence b.
         """
-        states = lstm_run(self.dec, self.embed(input_ids), state=self._dec_start(s))
-        return self.out(ad.concat(states, axis=0))
+        return self.out(lstm_run(self.dec, self.embed(input_ids), state=self._dec_start(s)))
 
 
 def decoder_loss(model: TextAutoencoder, s: Tensor, input_ids: np.ndarray,
@@ -152,11 +149,11 @@ def decode_texts(model: TextAutoencoder, s: np.ndarray) -> list[list[int]]:
     steps = []
     ended = np.zeros(s.shape[0], dtype=bool)
     with ad.no_grad():
-        h, c = model._dec_start(Tensor(s))
+        hc = model._dec_start(Tensor(s))
         prev = np.full(s.shape[0], Vocabulary.BOS)
         for _ in range(model.max_len):
-            h, c = model.dec.step(model.embed(prev), h, c)
-            logits = model.out(h).data
+            hc = model.dec.step(model.embed(prev), hc)
+            logits = model.out(ad.narrow(hc, 1, 0, model.sentence_dim)).data
             logits[:, Vocabulary.PAD] = -np.inf
             logits[:, Vocabulary.BOS] = -np.inf
             prev = np.argmax(logits, axis=1)

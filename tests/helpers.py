@@ -1,5 +1,5 @@
 """Test-only helpers: finite-difference gradient checks, the direct-loop convolution
-oracles and the metric CSV reader.
+oracles, the composed LSTM step and the metric CSV reader.
 
 Test modules import this as `helpers`; pytest puts `tests/` on `sys.path`.
 """
@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from xmodal import autodiff as ad
 from xmodal.autodiff import GraphError, Tensor, backward, no_grad
 from xmodal.errors import FormatError
 from xmodal.metrics import MetricReport
@@ -92,6 +93,20 @@ def upsample_conv_oracle(x: np.ndarray, w: np.ndarray, upsample: int = 2, stride
     upsampling by `np.repeat`, then the loop oracle on each sample."""
     up = np.repeat(np.repeat(x, upsample, axis=2), upsample, axis=3)
     return np.stack([conv_loop_oracle(sample, w, stride, padding) for sample in up])
+
+
+def composed_step(cell, x_t: Tensor, hc_prev: Tensor) -> Tensor:
+    """An `LSTMCell` step as separate narrow/concat/matmul/add_rowvec/sigmoid/tanh/
+    mul/add nodes: the oracle that `ad.lstm_step` must match bit for bit, forward
+    and backward."""
+    hid = cell.hidden_dim
+    h_prev, c_prev = ad.narrow(hc_prev, 1, 0, hid), ad.narrow(hc_prev, 1, hid, hid)
+    pre = ad.add_rowvec(ad.matmul(ad.concat([x_t, h_prev], axis=1), cell.weight), cell.bias)
+    ifo = ad.sigmoid(ad.narrow(pre, 1, 0, 3 * hid))
+    g = ad.tanh(ad.narrow(pre, 1, 3 * hid, hid))
+    i, f, o = (ad.narrow(ifo, 1, k * hid, hid) for k in range(3))
+    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    return ad.concat([ad.mul(o, ad.tanh(c_t)), c_t], axis=1)
 
 
 def read_metric_rows(path) -> list[dict]:

@@ -450,6 +450,27 @@ def test_mapper_with_non_finite_output_exits_5(workdir):
     assert not (ws / "translations" / "i2t.txt").exists()
 
 
+def test_mapper_with_huge_finite_output_exits_0_or_5(workdir):
+    # scaled by 10^54 the mapped set is finite but its squared distances overflow
+    ws, cfg = workdir
+    train_stages(cfg, TRAIN_STAGES)
+    (ws / "cap.txt").write_text("a red circle\n")
+    image = sorted((ws / "dataset" / "test" / "images").iterdir())[0]
+    ckpts = [ws / "checkpoints" / f"mapper_{direction}.ckpt" for direction in ("i2t", "t2i")]
+    trained = {ckpt: load_checkpoint(ckpt) for ckpt in ckpts}
+    commands = [["evaluate", "--split", "test"],
+                ["translate", "--direction", "image-to-text", "--input", str(image)],
+                ["translate", "--direction", "text-to-image", "--input", str(ws / "cap.txt")]]
+    codes = {}
+    for k in (0, 40, 54, 100, 160, 300):
+        for ckpt, arrays in trained.items():
+            save_checkpoint(ckpt, [(name, a * 10.0 ** k) for name, a in arrays.items()])
+        for command in commands:
+            codes[k, command[-1]] = main(command + ["--config", cfg])
+    assert set(codes.values()) <= {0, 5}, codes
+    assert codes[0, "test"] == 0 and codes[54, "test"] == 5, codes
+
+
 # case -> (checkpoint, tensor set to NaN, stages trained first, command)
 NON_FINITE_ENCODER = {
     "evaluate": ("image_ae.ckpt", "encoder.head.bias", TRAIN_STAGES,

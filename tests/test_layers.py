@@ -11,7 +11,7 @@ from xmodal.layers import (Conv2dLayer, DenseLayer, EmbeddingTable, LSTMCell, bi
                            glorot_uniform, lstm_run, max_over_time)
 from xmodal.text_ae import Vocabulary
 
-from helpers import gradient_check
+from helpers import composed_step, gradient_check
 
 
 def rng_for(seed=0):
@@ -86,16 +86,9 @@ def lstm_scalar_oracle(cell: LSTMCell, x, h, c):
     return o * np.tanh(c_t), c_t
 
 
-def composed_step(cell: LSTMCell, x_t, h_prev, c_prev):
-    """The step as separate sigmoid/tanh/narrow/mul/add nodes: the oracle that
-    `ad.lstm_pointwise` must match bit for bit, forward and backward."""
-    hid = cell.hidden_dim
-    pre = ad.add_rowvec(ad.matmul(ad.concat([x_t, h_prev], axis=1), cell.weight), cell.bias)
-    ifo = ad.sigmoid(ad.narrow(pre, 1, 0, 3 * hid))
-    g = ad.tanh(ad.narrow(pre, 1, 3 * hid, hid))
-    i, f, o = (ad.narrow(ifo, 1, k * hid, hid) for k in range(3))
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    return ad.mul(o, ad.tanh(c_t)), c_t
+def state(h, c) -> Tensor:
+    """The [h | c] state tensor of a cell."""
+    return Tensor(np.concatenate([h, c], axis=1))
 
 
 class TestLSTMCell:
@@ -103,10 +96,9 @@ class TestLSTMCell:
         cell = LSTMCell(3, 4, rng_for(0))
         cell.weight.data[...] = 0.0
         cell.bias.data[...] = 0.0
-        h, c = cell.zero_state(2)
-        h_t, c_t = cell.step(Tensor(np.ones((2, 3))), h, c)
-        np.testing.assert_array_equal(c_t.data, 0.0)
-        np.testing.assert_array_equal(h_t.data, 0.0)
+        hc_t = cell.step(Tensor(np.ones((2, 3))), cell.zero_state(2))
+        assert hc_t.shape == (2, 8)
+        np.testing.assert_array_equal(hc_t.data, 0.0)
 
     def test_forget_saturation_carries_memory(self):
         cell = LSTMCell(3, 4, rng_for(1))
@@ -114,19 +106,19 @@ class TestLSTMCell:
         cell.bias.data[...] = 0.0
         cell.bias.data[4:8] = 50.0  # saturated forget gate
         c_prev = rng_for(2).normal(size=(2, 4))
-        _, c_t = cell.step(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))), Tensor(c_prev))
-        np.testing.assert_allclose(c_t.data, c_prev, atol=1e-12)
+        hc_t = cell.step(Tensor(np.ones((2, 3))), state(np.zeros((2, 4)), c_prev))
+        np.testing.assert_allclose(hc_t.data[:, 4:], c_prev, atol=1e-12)
 
     def test_vs_scalar_oracle(self):
         cell = LSTMCell(3, 5, rng_for(3))
         x = rng_for(4).normal(size=(2, 3))
         h = rng_for(5).normal(size=(2, 5))
         c = rng_for(6).normal(size=(2, 5))
-        h_t, c_t = cell.step(Tensor(x), Tensor(h), Tensor(c))
+        hc_t = cell.step(Tensor(x), state(h, c)).data
         for row in range(2):
             h_want, c_want = lstm_scalar_oracle(cell, x[row], h[row], c[row])
-            np.testing.assert_allclose(h_t.data[row], h_want, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(c_t.data[row], c_want, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(hc_t[row, :5], h_want, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(hc_t[row, 5:], c_want, atol=1e-12, rtol=0)
 
     def test_initial_values_are_the_per_gate_draws(self):
         # each gate is its own Glorot draw with fan-out hidden, in GATES order;
@@ -140,23 +132,25 @@ class TestLSTMCell:
         np.testing.assert_array_equal(cell.bias.data[h:2 * h], 1.0)  # forget gate
         np.testing.assert_array_equal(np.delete(cell.bias.data, np.s_[h:2 * h]), 0.0)
 
-    def test_state_shape_mismatch(self):
+    @pytest.mark.parametrize("x_shape, hc_shape", [((2, 3), (2, 10)), ((2, 3), (1, 8)),
+                                                   ((2, 3), (2, 4)), ((2, 4), (2, 8))])
+    def test_shape_mismatch(self, x_shape, hc_shape):
         cell = LSTMCell(3, 4, rng_for(8))
         with pytest.raises(ShapeError):
-            cell.step(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 5))), Tensor(np.ones((2, 5))))
+            cell.step(Tensor(np.ones(x_shape)), Tensor(np.ones(hc_shape)))
 
     def test_gradient_through_step(self):
         cell = LSTMCell(3, 4, rng_for(9))
-        h0, c0 = cell.zero_state(2)
+        hc0 = cell.zero_state(2)
 
         def f(v):
-            h_t, c_t = cell.step(v, h0, c0)
-            return ad.reduce("sum", ad.mul(h_t, c_t))
+            hc_t = cell.step(v, hc0)
+            return ad.reduce("sum", ad.mul(ad.narrow(hc_t, 1, 0, 4), ad.narrow(hc_t, 1, 4, 4)))
 
         assert gradient_check(f, Tensor(rng_for(10).normal(size=(2, 3)))) <= 1e-6
 
-    def test_run_makes_one_matmul_per_step_and_no_transpose(self, monkeypatch):
-        calls = {"matmul": 0, "transpose": 0}
+    def test_run_makes_one_lstm_step_per_step_and_no_matmul(self, monkeypatch):
+        calls = {"matmul": 0, "transpose": 0, "lstm_step": 0}
         for name in calls:
             def counted(*args, _fn=getattr(ad, name), _name=name):
                 calls[_name] += 1
@@ -164,11 +158,11 @@ class TestLSTMCell:
             monkeypatch.setattr(ad, name, counted)
         cell = LSTMCell(3, 4, rng_for(11))
         lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3))))
-        assert calls == {"matmul": 5, "transpose": 0}
+        assert calls == {"matmul": 0, "transpose": 0, "lstm_step": 5}
 
-    def test_run_records_seven_nodes_per_step_and_one_per_run(self, monkeypatch):
-        # concat, matmul, add_rowvec, lstm_pointwise and two narrows in the step,
-        # plus lstm_run's narrow of the input rows; one reshape of the input per run
+    def test_run_records_two_nodes_per_step_and_three_per_run(self, monkeypatch):
+        # the narrow of the input rows and the lstm_step per step; the reshape of
+        # the input, the concat of the states and the narrow of their h columns per run
         made = []
 
         def counted(*args, _fn=ad._make_node):
@@ -178,40 +172,39 @@ class TestLSTMCell:
         monkeypatch.setattr(ad, "_make_node", counted)
         cell = LSTMCell(3, 4, rng_for(11))
         lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3)), requires_grad=True))
-        assert len(made) == 7 * 5 + 1
+        assert len(made) == 2 * 5 + 3
         assert all(node.requires_grad for node in made)
 
-    def test_run_is_bit_identical_to_the_composed_step(self, monkeypatch):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_run_is_bit_identical_to_the_composed_step(self, monkeypatch, reverse):
         def run(step):
             cell = LSTMCell(3, 4, rng_for(16))
             x = Tensor(rng_for(17).normal(size=(5, 2, 3)), requires_grad=True)
+            hc0 = Tensor(rng_for(18).normal(size=(2, 8)), requires_grad=True)
             monkeypatch.setattr(cell, "step", step(cell))
-            outs = lstm_run(cell, x)
-            w = Tensor(rng_for(18).normal(size=(5, 2, 4)))
-            backward(ad.reduce("sum", ad.mul(ad.stack0(outs), w)))
-            return [o.data for o in outs] + [x.grad, cell.weight.grad, cell.bias.grad]
+            out = lstm_run(cell, x, reverse=reverse, state=hc0)
+            w = Tensor(rng_for(19).normal(size=(10, 4)))
+            backward(ad.reduce("sum", ad.mul(out, w)))
+            return [out.data, x.grad, hc0.grad, cell.weight.grad, cell.bias.grad]
 
         fused = run(lambda cell: cell.step)
-        composed = run(lambda cell: lambda *state: composed_step(cell, *state))
+        composed = run(lambda cell: lambda *args: composed_step(cell, *args))
         assert all(np.array_equal(a, b) for a, b in zip(fused, composed, strict=True))
 
-    @pytest.mark.parametrize("constant_c", [True, False])
-    def test_step_is_bit_identical_to_the_composed_step(self, constant_c):
+    @pytest.mark.parametrize("constant_hc", [True, False])
+    def test_step_is_bit_identical_to_the_composed_step(self, constant_hc):
         def run(step):
             cell = LSTMCell(3, 4, rng_for(19))
             rng = rng_for(20)
             x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-            h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-            c = Tensor(np.zeros((2, 4)) if constant_c else rng.normal(size=(2, 4)),
-                       requires_grad=not constant_c)
-            h_t, c_t = step(cell, x, h, c)
-            w_h, w_c = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4)))
-            backward(ad.add(ad.reduce("sum", ad.mul(h_t, w_h)), ad.reduce("sum", ad.mul(c_t, w_c))))
-            return [h_t.data, c_t.data, x.grad, h.grad, c.grad, cell.weight.grad, cell.bias.grad]
+            hc = Tensor(rng.normal(size=(2, 8)), requires_grad=not constant_hc)
+            hc_t = step(cell, x, hc)
+            backward(ad.reduce("sum", ad.mul(hc_t, Tensor(rng.normal(size=(2, 8))))))
+            return [hc_t.data, x.grad, hc.grad, cell.weight.grad, cell.bias.grad]
 
         fused = run(LSTMCell.step)
         composed = run(composed_step)
-        assert (fused[4] is None) == constant_c
+        assert (fused[2] is None) == constant_hc
         assert all(np.array_equal(a, b) for a, b in zip(fused, composed, strict=True))
 
     def test_run_writes_the_fused_weight_gradient_once(self):
@@ -238,17 +231,17 @@ class TestLSTMCell:
 
         # oracle: a separate weight leaf per step, each given its own product
         leaves, states = [], []
-        h, c = cell.zero_state(2)
+        hc = cell.zero_state(2)
         for t in range(5):
             cell.weight = Tensor(weight, requires_grad=True)
             leaves.append(cell.weight)
-            h, c = cell.step(Tensor(x[t]), h, c)
-            states.append(h)
+            hc = cell.step(Tensor(x[t]), hc)
+            states.append(ad.narrow(hc, 1, 0, 4))
         backward(ad.reduce("sum", ad.stack0(states)))
         want = sum(leaf.grad for leaf in leaves)
 
         cell.weight = CountedWeight(weight)
-        backward(ad.reduce("sum", ad.stack0(lstm_run(cell, Tensor(x)))))
+        backward(ad.reduce("sum", lstm_run(cell, Tensor(x))))
         assert cell.weight.writes == 1  # one product for the 5 steps, not one per step
         np.testing.assert_allclose(cell.weight.grad, want, atol=1e-12, rtol=0)
 
@@ -258,10 +251,9 @@ class TestBiLSTM:
         fwd, bwd = LSTMCell(3, 4, rng_for(0)), LSTMCell(3, 4, rng_for(1))
         x = rng_for(2).normal(size=(1, 2, 3))
         out = bilstm_encode(fwd, bwd, Tensor(x))
-        h_f, _ = fwd.step(Tensor(x[0]), *fwd.zero_state(2))
-        h_b, _ = bwd.step(Tensor(x[0]), *bwd.zero_state(2))
-        np.testing.assert_allclose(out.data[0], np.concatenate([h_f.data, h_b.data], axis=1),
-                                   atol=1e-14)
+        h_f = fwd.step(Tensor(x[0]), fwd.zero_state(2)).data[:, :4]
+        h_b = bwd.step(Tensor(x[0]), bwd.zero_state(2)).data[:, :4]
+        np.testing.assert_allclose(out.data[0], np.concatenate([h_f, h_b], axis=1), atol=1e-14)
 
     def test_output_shape_with_paper_hidden(self):
         fwd, bwd = LSTMCell(7, 50, rng_for(3)), LSTMCell(7, 50, rng_for(4))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from xmodal import autodiff as ad
 from xmodal.autodiff import ShapeError, Tensor
 from xmodal.data import LabeledEmbeddingSet
-from xmodal.errors import FormatError
+from xmodal.errors import DivergenceError, FormatError
 from xmodal.mappers import KernelSpec, mixture_kernel, mmd2_biased, mmd2_unbiased, mmd2_weights
 from xmodal.metrics import (MetricReport, _split_mmd2, bleu, class_accuracy, rouge_l,
                             two_sample_test)
@@ -63,6 +63,16 @@ class TestClassAccuracy:
         rng = np.random.default_rng(0)
         s = LabeledEmbeddingSet(rng.normal(size=(10, 6)), rng.integers(0, 3, size=10))
         assert class_accuracy(s, s) == 100.0
+
+    @pytest.mark.parametrize("side", ["true", "fake"])
+    def test_overflowing_norm_raises_divergence(self, side):
+        # the squares of 1e200 overflow: x/inf would read as a zero embedding
+        rng = np.random.default_rng(1)
+        sets = {k: LabeledEmbeddingSet(rng.normal(size=(4, 3)), np.arange(4))
+                for k in ("true", "fake")}
+        sets[side].embeddings[2] *= 1e200
+        with pytest.raises(DivergenceError):
+            class_accuracy(sets["true"], sets["fake"])
 
     def test_shifted_one_hots_give_zero(self):
         # 4 classes on axis vectors; fake labels cyclically shifted by one
@@ -277,6 +287,14 @@ class TestTwoSampleTest:
         with pytest.raises(ShapeError):
             two_sample_test(np.ones((1, 2)), np.ones((5, 2)), permutations=10,
                             rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+    def test_overflowing_distances_raise_divergence(self, scale):
+        # finite sets whose pooled squared distances are not
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)) * scale
+        with pytest.raises(DivergenceError):
+            two_sample_test(x, y, permutations=10, rng=rng)
 
     @pytest.mark.slow
     def test_calibration_under_null(self):

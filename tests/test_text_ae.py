@@ -13,7 +13,7 @@ from xmodal.text_ae import (TextAutoencoder, Vocabulary, decode_text, decode_tex
                             detokenize, encode_text, encode_texts, roundtrip, tokenize,
                             train_text_autoencoder)
 
-from helpers import gradient_check
+from helpers import composed_step, gradient_check
 
 CORPUS = [
     (0, tokenize("a red circle on a white background")),
@@ -168,11 +168,11 @@ def decode_one_row(model, s):
     """Oracle: greedy decoding of one embedding by stepping the cell on one row."""
     out = []
     with ad.no_grad():
-        h, c = Tensor(s.reshape(1, -1)), Tensor(np.zeros((1, model.sentence_dim)))
+        hc = Tensor(np.concatenate([s, np.zeros(model.sentence_dim)]).reshape(1, -1))
         prev = np.asarray([Vocabulary.BOS])
         for _ in range(model.max_len):
-            h, c = model.dec.step(model.embed(prev), h, c)
-            logits = model.out(h).data[0].copy()
+            hc = model.dec.step(model.embed(prev), hc)
+            logits = model.out(Tensor(hc.data[:, :model.sentence_dim])).data[0].copy()
             logits[Vocabulary.PAD] = -np.inf
             logits[Vocabulary.BOS] = -np.inf
             token = int(np.argmax(logits))
@@ -274,11 +274,11 @@ class TestDecoderLoss:
     @staticmethod
     def per_step_logits(model, s, input_ids):
         """The decoder as its own loop, one embedding lookup per step."""
-        h, c = model._dec_start(s)
+        hc = model._dec_start(s)
         states = []
         for t in range(input_ids.shape[0]):
-            h, c = model.dec.step(model.embed(input_ids[t]), h, c)
-            states.append(h)
+            hc = model.dec.step(model.embed(input_ids[t]), hc)
+            states.append(ad.narrow(hc, 1, 0, model.dec.hidden_dim))
         return model.out(ad.concat(states, axis=0))
 
     @staticmethod
@@ -364,6 +364,31 @@ class TestTraining:
         exact = sum(list(roundtrip(model, vocab.encode(toks))) == vocab.encode(toks).tolist()
                     for _, toks in CORPUS)
         assert exact >= 4
+
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_training_is_bit_identical_to_the_composed_step(self, monkeypatch, batch_size):
+        # every cell stepping through the composed oracle instead of ad.lstm_step
+        vocab = Vocabulary.from_corpus(CORPUS)
+        s = np.random.default_rng(18).normal(size=(3, 100))
+
+        def train(composed):
+            model = make_model(vocab, seed=17, max_len=8)
+            if composed:
+                for cell in (model.enc_fwd, model.enc_bwd, model.dec):
+                    monkeypatch.setattr(cell, "step",
+                                        lambda *args, _cell=cell: composed_step(_cell, *args))
+            train_text_autoencoder(CORPUS, vocab, model, epochs=2, batch_size=batch_size, lr=3e-3,
+                                   rng=np.random.default_rng(17))
+            embeddings = encode_texts(model, [vocab.encode(toks) for _, toks in CORPUS])
+            params = {name: p.data for name, p in model.named_parameters()}
+            return params, embeddings, decode_texts(model, np.concatenate([embeddings, s]))
+
+        (fused, fused_emb, fused_ids), (composed, composed_emb, composed_ids) = (
+            train(composed=False), train(composed=True))
+        assert fused.keys() == composed.keys()
+        assert all(np.array_equal(fused[name], composed[name]) for name in fused)
+        assert np.array_equal(fused_emb, composed_emb)
+        assert fused_ids == composed_ids
 
     def test_empty_corpus_rejected(self):
         vocab = Vocabulary.from_corpus(CORPUS)
