@@ -2,12 +2,14 @@
 
 Layout (little-endian): magic "CKPT", version u32, tensor count u32, then
 per tensor: name length u32, UTF-8 name, rank u32, dims u32 each, float64
-payload; finally CRC32 of every preceding byte.
+payload; finally CRC32 of every preceding byte. Names have any length, so a
+payload's file offset has any alignment.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -39,45 +41,91 @@ def save_checkpoint(path, named_arrays) -> None:
     write_atomic(path, blob)
 
 
+class _Body:
+    """The bytes of an open checkpoint file before its trailing CRC, read in
+    order and never past their end, with a running CRC32 of every byte read."""
+
+    def __init__(self, f, size: int):
+        self.f = f
+        self.left = size - 4
+        self.crc = 0
+
+    def read(self, n: int) -> bytes:
+        data = self.f.read(n) if n <= self.left else b""
+        if len(data) != n:
+            raise ValueError("a field runs past the end of the file")
+        self.left -= n
+        self.crc = zlib.crc32(data, self.crc)
+        return data
+
+    def read_into(self, arr: np.ndarray) -> None:
+        raw = arr.reshape(-1).view(np.uint8)  # unlike memoryview.cast, works at size 0
+        if raw.size > self.left or self.f.readinto(raw) != raw.size:
+            raise ValueError("a payload runs past the end of the file")
+        self.left -= raw.size
+        self.crc = zlib.crc32(raw, self.crc)
+
+    def crc_matches(self) -> bool:
+        """Read the rest of the body into the CRC, then compare the stored one."""
+        while self.left > 0:
+            chunk = self.f.read(min(self.left, 1 << 20))
+            if not chunk:
+                return False
+            self.left -= len(chunk)
+            self.crc = zlib.crc32(chunk, self.crc)
+        stored = self.f.read(4)
+        return len(stored) == 4 and struct.unpack("<I", stored)[0] == self.crc
+
+
+def _read_tensors(body: _Body, path: Path) -> dict[str, np.ndarray]:
+    version, count = struct.unpack("<II", body.read(8))
+    if version != VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", body.read(4))
+        name = body.read(name_len).decode("utf-8")
+        (rank,) = struct.unpack("<I", body.read(4))
+        dims = struct.unpack(f"<{rank}I", body.read(4 * rank))
+        if 8 * math.prod(dims) > body.left:  # Python ints: no overflow on crafted dims
+            raise FormatError(f"{path}: tensor {name!r} of shape {dims} overruns the payload")
+        if name in out:
+            raise FormatError(f"{path}: duplicate tensor name {name!r}")
+        out[name] = np.empty(dims, dtype="<f8")
+        body.read_into(out[name])
+    if body.left:
+        raise FormatError(f"{path}: trailing bytes after tensor payload")
+    return out
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The named float64 arrays of the checkpoint at `path`, each its own fresh,
+    aligned and writeable array.
+
+    One buffered pass reads the header fields in small reads and each payload
+    straight into its array, feeding every byte to a running CRC32; sizes are
+    checked against the file's length before anything is allocated. A CRC
+    mismatch is reported before any other fault, wherever the damage lies, and
+    only FormatError is raised.
+    """
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"missing checkpoint: {path}")
-    blob = path.read_bytes()
-    if len(blob) < 16 or blob[:4] != MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic")
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise FormatError(f"{path}: checkpoint CRC mismatch")
-    version, count = struct.unpack("<II", blob[4:12])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
-    out: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            name = blob[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            (rank,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            dims = struct.unpack_from(f"<{rank}I", blob, pos) if rank else ()
-            pos += 4 * rank
-            n_values = math.prod(dims)  # Python ints: no overflow on crafted dims
-            if pos + 8 * n_values > len(blob) - 4:
-                raise FormatError(f"{path}: tensor {name!r} of shape {dims} overruns the payload")
-            arr = np.frombuffer(blob, dtype="<f8", count=n_values, offset=pos).reshape(dims)
-            pos += 8 * n_values
-            if name in out:
-                raise FormatError(f"{path}: duplicate tensor name {name!r}")
-            out[name] = arr.astype(np.float64)  # a fresh, aligned, native-order copy
-    except FormatError:
-        raise
-    except (struct.error, ValueError) as e:  # truncation, a name not UTF-8, dims numpy rejects
-        raise FormatError(f"{path}: malformed checkpoint ({e})") from None
-    if pos != len(blob) - 4:
-        raise FormatError(f"{path}: trailing bytes after tensor payload")
+    with open(path, "rb") as f:
+        body = _Body(f, os.fstat(f.fileno()).st_size)
+        if body.left < 12 or body.read(4) != MAGIC:
+            raise FormatError(f"{path}: bad checkpoint magic")
+        fault = None
+        try:
+            out = _read_tensors(body, path)
+        except FormatError as e:
+            fault = e
+        except ValueError as e:  # truncation, a name not UTF-8, dims numpy rejects
+            fault = FormatError(f"{path}: malformed checkpoint ({e})")
+        if not body.crc_matches():
+            raise FormatError(f"{path}: checkpoint CRC mismatch")
+    if fault is not None:
+        raise fault
     return out
 
 

@@ -99,7 +99,8 @@ class LSTMCell(Module):
     columns in `GATES` order. The state is one (batch, 2*hidden) tensor [h | c]
     and a step is one `ad.lstm_step` node. Each gate's block is drawn as its
     own Glorot matrix (fan-out `hidden`); the forget-gate bias starts at +1 so
-    early training keeps cell memory.
+    early training keeps cell memory. With `rng=None` the weight is one
+    uninitialised array, as `glorot_uniform` gives.
     """
 
     GATES = ("input", "forget", "output", "candidate")  # sigmoid gates first, then tanh
@@ -108,10 +109,14 @@ class LSTMCell(Module):
         super().__init__()
         self.hidden_dim = hidden_dim
         cat = input_dim + hidden_dim
-        blocks = [glorot_uniform(rng, (hidden_dim, cat), cat, hidden_dim) for _ in self.GATES]
+        if rng is None:
+            weight = np.empty((cat, 4 * hidden_dim))
+        else:
+            weight = np.concatenate([glorot_uniform(rng, (hidden_dim, cat), cat, hidden_dim)
+                                     for _ in self.GATES]).T
         bias = np.zeros(4 * hidden_dim)
         bias[hidden_dim:2 * hidden_dim] = 1.0  # the forget block
-        self.weight = self._register("weight", Tensor(np.concatenate(blocks).T))
+        self.weight = self._register("weight", Tensor(weight))
         self.bias = self._register("bias", Tensor(bias))
 
     def step(self, x_t: Tensor, hc_prev: Tensor) -> Tensor:

@@ -4,10 +4,13 @@ import dataclasses
 import os
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmodal.checkpoint import load_checkpoint, load_into, save_checkpoint, save_module
 from xmodal.config import DEFAULTS, config_lines, help_text, resolve_config, section
@@ -114,7 +117,56 @@ WRITERS = {
 }
 
 
+# float64 bit patterns: quiet and signalling NaNs with payloads, both infinities, -0.0
+SPECIAL_BITS = [0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001, 0x7FF4DEADBEEF0000,
+                0x7FF0000000000000, 0xFFF0000000000000, 0x8000000000000000]
+
+
+@st.composite
+def float64_arrays(draw):
+    """An array of rank 0-4, zero-length axes included, of any float64 bit patterns."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
+    n = int(np.prod(shape))
+    bits = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+                         min_size=n, max_size=n))
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+
+
+def assert_loaded_exactly(loaded, named_arrays):
+    assert list(loaded) == [name for name, _ in named_arrays]
+    for name, arr in named_arrays:
+        got = loaded[name]
+        assert got.dtype == np.float64 and got.shape == arr.shape
+        assert got.flags.c_contiguous and got.flags.aligned and got.flags.writeable
+        assert got.tobytes() == arr.tobytes()  # bit for bit, NaN payloads and -0.0 included
+    arrays = list(loaded.values())
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
 class TestCheckpoint:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(max_size=9), min_size=1, max_size=5, unique=True), st.data())
+    def test_roundtrip_any_values_bit_exact(self, tmp_path_factory, names, data):
+        named_arrays = [(name, data.draw(float64_arrays())) for name in names]
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        save_checkpoint(path, named_arrays)
+        assert_loaded_exactly(load_checkpoint(path), named_arrays)
+
+    def test_payload_offsets_at_every_residue_mod_8(self, tmp_path):
+        # names sized so that the 8 payloads start at file offsets 0, 1, ..., 7 mod 8
+        named_arrays, offset = [], 12
+        for residue in range(8):
+            name_len = (residue - offset - 12 - 1) % 8 + 1
+            arr = np.arange(3.0) - residue
+            named_arrays.append((str(residue) * name_len, arr))
+            offset += 12 + name_len  # name length, name, rank, one dim
+            assert offset % 8 == residue
+            offset += arr.nbytes
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, named_arrays)
+        assert_loaded_exactly(load_checkpoint(path), named_arrays)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         arrays = [("a.weight", rng.normal(size=(3, 4))),
@@ -135,6 +187,63 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="CRC"):
             load_checkpoint(path)
+
+    def test_every_byte_flip_detected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, [("w", np.arange(6.0).reshape(2, 3)), ("bias", np.ones(2))])
+        blob = path.read_bytes()
+        for i in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[i] ^= 0x5A
+            path.write_bytes(bytes(flipped))
+            # the magic is checked first; every other byte, the stored CRC's too, by the CRC
+            with pytest.raises(FormatError, match="magic" if i < 4 else "CRC"):
+                load_checkpoint(path)
+
+    def test_every_truncation_detected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, [("w", np.arange(6.0).reshape(2, 3)), ("bias", np.ones(2))])
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("rank, dims", [
+        (0xFFFFFFFF, ()),
+        (2, (0xFFFFFFFF, 0xFFFFFFFF)),
+        (3, (0, 0xFFFFFFFF, 0xFFFFFFFF)),  # no values, but more bytes than numpy can index
+    ])
+    def test_huge_rank_or_dims_rejected_without_allocating(self, tmp_path, rank, dims):
+        # valid CRC: the header fields alone must stop the load
+        path = tmp_path / "m.ckpt"
+        body = (b"CKPT" + struct.pack("<IIIsI", 1, 1, 1, b"w", rank)
+                + struct.pack(f"<{len(dims)}I", *dims) + np.ones(2).tobytes())
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # no buffer sized by a field: nothing read past the file
+
+    def test_load_peaks_at_its_payload(self, tmp_path):
+        # each tensor is read straight into its own array: no whole-file blob, no second copy
+        named_arrays = [(f"layer{i}.weight", np.full((256, 256), float(i))) for i in range(8)]
+        payload = sum(arr.nbytes for _, arr in named_arrays)
+        assert payload >= 4 * 2**20
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, named_arrays)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * payload
+        assert_loaded_exactly(loaded, named_arrays)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"

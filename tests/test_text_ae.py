@@ -1,5 +1,7 @@
 """Text autoencoder: tokenizer, vocabulary, encoding, decoding, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -342,6 +344,18 @@ def test_named_parameters_match_the_checkpoint_layout():
     want += [("out.weight", (v, 100)), ("out.bias", (v,))]
     assert len(want) == 9
     assert [(name, p.shape) for name, p in model.named_parameters()] == want
+
+
+def test_model_built_to_load_allocates_each_parameter_once():
+    # with rng=None every parameter, the fused LSTM weights too, is one fresh array
+    vocab = Vocabulary.from_corpus(CORPUS)
+    tracemalloc.start()
+    try:
+        model = TextAutoencoder(len(vocab), 100, 50, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sum(p.data.nbytes for _, p in model.named_parameters())
 
 
 class TestTraining:
