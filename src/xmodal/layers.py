@@ -110,13 +110,13 @@ class LSTMCell(Module):
         self.hidden_dim = hidden_dim
         cat = input_dim + hidden_dim
         if rng is None:
-            weight = np.empty((cat, 4 * hidden_dim))
+            weight = Tensor(np.empty((cat, 4 * hidden_dim)))
         else:
-            weight = np.concatenate([glorot_uniform(rng, (hidden_dim, cat), cat, hidden_dim)
-                                     for _ in self.GATES]).T
+            blocks = [glorot_uniform(rng, (hidden_dim, cat), cat, hidden_dim) for _ in self.GATES]
+            weight = Tensor(np.concatenate(blocks).T)
         bias = np.zeros(4 * hidden_dim)
         bias[hidden_dim:2 * hidden_dim] = 1.0  # the forget block
-        self.weight = self._register("weight", Tensor(weight))
+        self.weight = self._register("weight", weight)
         self.bias = self._register("bias", Tensor(bias))
 
     def step(self, x_t: Tensor, hc_prev: Tensor) -> Tensor:

@@ -147,7 +147,7 @@ def assert_loaded_exactly(loaded, named_arrays):
 class TestCheckpoint:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.text(max_size=9), min_size=1, max_size=5, unique=True), st.data())
-    def test_roundtrip_any_values_bit_exact(self, tmp_path_factory, names, data):
+    def test_roundtrip_bit_exact(self, tmp_path_factory, names, data):
         named_arrays = [(name, data.draw(float64_arrays())) for name in names]
         path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
         save_checkpoint(path, named_arrays)
@@ -167,28 +167,7 @@ class TestCheckpoint:
         save_checkpoint(path, named_arrays)
         assert_loaded_exactly(load_checkpoint(path), named_arrays)
 
-    def test_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        arrays = [("a.weight", rng.normal(size=(3, 4))),
-                  ("b.bias", rng.normal(size=(5,))),
-                  ("scalarish", rng.normal(size=(1,)))]
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, arrays)
-        loaded = load_checkpoint(path)
-        assert set(loaded) == {"a.weight", "b.bias", "scalarish"}
-        for name, arr in arrays:
-            assert np.array_equal(loaded[name], arr)
-
     def test_crc_detects_corruption(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, [("w", np.ones((2, 2)))])
-        blob = bytearray(path.read_bytes())
-        blob[20] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="CRC"):
-            load_checkpoint(path)
-
-    def test_every_byte_flip_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, [("w", np.arange(6.0).reshape(2, 3)), ("bias", np.ones(2))])
         blob = path.read_bytes()
@@ -200,7 +179,7 @@ class TestCheckpoint:
             with pytest.raises(FormatError, match="magic" if i < 4 else "CRC"):
                 load_checkpoint(path)
 
-    def test_every_truncation_detected(self, tmp_path):
+    def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, [("w", np.arange(6.0).reshape(2, 3)), ("bias", np.ones(2))])
         blob = path.read_bytes()
@@ -208,26 +187,6 @@ class TestCheckpoint:
             path.write_bytes(blob[:n])
             with pytest.raises(FormatError):
                 load_checkpoint(path)
-
-    @pytest.mark.parametrize("rank, dims", [
-        (0xFFFFFFFF, ()),
-        (2, (0xFFFFFFFF, 0xFFFFFFFF)),
-        (3, (0, 0xFFFFFFFF, 0xFFFFFFFF)),  # no values, but more bytes than numpy can index
-    ])
-    def test_huge_rank_or_dims_rejected_without_allocating(self, tmp_path, rank, dims):
-        # valid CRC: the header fields alone must stop the load
-        path = tmp_path / "m.ckpt"
-        body = (b"CKPT" + struct.pack("<IIIsI", 1, 1, 1, b"w", rank)
-                + struct.pack(f"<{len(dims)}I", *dims) + np.ones(2).tobytes())
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError):
-                load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024  # no buffer sized by a field: nothing read past the file
 
     def test_load_peaks_at_its_payload(self, tmp_path):
         # each tensor is read straight into its own array: no whole-file blob, no second copy
@@ -318,21 +277,26 @@ class TestCheckpoint:
         assert path.read_bytes() == original
         assert [p.name for p in tmp_path.iterdir()] == [name]  # the temp file is gone
 
-    def test_truncation_detected(self, tmp_path):
+    @pytest.mark.parametrize("rank, dims, match", [
+        (1, (1000,), "overruns"),
+        (2, (0xFFFFFFFF, 0xFFFFFFFF), "overruns"),
+        (0xFFFFFFFF, (), "malformed"),
+        (3, (0, 0xFFFFFFFF, 0xFFFFFFFF), "malformed"),  # no values, yet too big for numpy
+    ])
+    def test_oversized_tensor_rejected(self, tmp_path, rank, dims, match):
+        # valid CRC, but the rank or dims ask for more than the payload holds
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, [("w", np.ones((4, 4)))])
-        blob = path.read_bytes()
-        path.write_bytes(blob[:len(blob) // 2])
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
-
-    def test_oversized_tensor_rejected(self, tmp_path):
-        # valid CRC, but the dims ask for more values than the payload holds
-        path = tmp_path / "m.ckpt"
-        body = b"CKPT" + struct.pack("<IIIsII", 1, 1, 1, b"w", 1, 1000) + np.ones(2).tobytes()
+        body = (b"CKPT" + struct.pack("<IIIsI", 1, 1, 1, b"w", rank)
+                + struct.pack(f"<{len(dims)}I", *dims) + np.ones(2).tobytes())
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(FormatError, match="overruns"):
-            load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=match):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # no buffer sized by a field: nothing read past the file
 
     def test_non_utf8_name_rejected(self, tmp_path):
         # valid CRC, but the tensor name is not UTF-8
