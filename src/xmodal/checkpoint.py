@@ -3,7 +3,8 @@
 Layout (little-endian): magic "CKPT", version u32, tensor count u32, then
 per tensor: name length u32, UTF-8 name, rank u32, dims u32 each, float64
 payload; finally CRC32 of every preceding byte. Names have any length, so a
-payload's file offset has any alignment.
+payload's file offset has any alignment: each is read into its own array,
+never viewed in place.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     One buffered pass reads the header fields in small reads and each payload
     straight into its array, feeding every byte to a running CRC32; sizes are
-    checked against the file's length before anything is allocated. A CRC
-    mismatch is reported before any other fault, wherever the damage lies, and
-    only FormatError is raised.
+    checked against the file's length before anything is allocated. Past the
+    magic, a CRC mismatch is reported before any other fault, wherever the
+    damage lies. Every fault raises FormatError.
     """
     path = Path(path)
     if not path.is_file():
