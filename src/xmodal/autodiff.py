@@ -4,14 +4,14 @@ Every operation records a node on an implicit computation graph (child ->
 parent links plus a backward closure). `backward` consumes the graph as it
 goes: each interior node drops its links, closure and gradient as soon as its
 rule has run, a failed pass leaves nothing partial in interior nodes, and a
-second traversal through any consumed node raises. A matmul's (or an LSTM
-step's) backward does not form its weight's gradient on the spot: it records
-the pair (left operand, output gradient) on that operand, and `backward`
-settles all of a node's pairs with one GEMM when the node's own turn comes, so
-a weight used at every step of a sequence gets one product per sequence, not
-one per step. Broadcasting is deliberately restricted to scalar-with-tensor;
-rank mismatches are errors, and structural changes go through explicit ops
-(reshape, concat, narrow).
+second traversal through any consumed node raises. A matmul's backward does
+not form its weight's gradient on the spot: it records the pair (left operand,
+output gradient) on that operand, and `backward` settles all of a node's pairs
+with one GEMM when the node's own turn comes. The LSTM run node that
+`layers.lstm_run` builds records one pair per step on its cell's weight, so
+that weight gets one product per sequence, not one per step. Broadcasting is
+deliberately restricted to scalar-with-tensor; rank mismatches are errors, and
+structural changes go through explicit ops (reshape, concat, narrow).
 """
 
 from __future__ import annotations
@@ -95,6 +95,12 @@ class Tensor:
         else:
             self.grad += g
 
+    def _add_matmul_pair(self, a: np.ndarray, g: np.ndarray):
+        # a product a @ self with output gradient g, for `_settle`
+        if self._matmul_pairs is None:
+            self._matmul_pairs = []
+        self._matmul_pairs.append((a, g))
+
     def _settle(self):
         # one GEMM over every recorded matmul: sum_t a_t.T @ g_t = A.T @ G
         pairs, self._matmul_pairs = self._matmul_pairs, None
@@ -107,9 +113,14 @@ class Tensor:
             self.grad += dw
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op over `parents` records a node, so its backward state is worth keeping."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _make_node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
+    if _records(parents):
         for p in parents:
             if p._consumed:
                 raise GraphError("cannot extend a graph that backward already consumed")
@@ -303,9 +314,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(out.grad @ b.data.T)
         if b.requires_grad:
-            if b._matmul_pairs is None:
-                b._matmul_pairs = []
-            b._matmul_pairs.append((a.data, out.grad))
+            b._add_matmul_pair(a.data, out.grad)
 
     out = _make_node(out_data, (a, b), backward_fn)
     return out
@@ -319,57 +328,6 @@ def transpose(a: Tensor) -> Tensor:
         a._accumulate(out.grad.T)
 
     out = _make_node(a.data.T.copy(), (a,), backward_fn)
-    return out
-
-
-def lstm_step(x: Tensor, hc_prev: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """One LSTM step as one node: the state [h_t | c_t] (batch, 2H) from the input
-    x (batch, D) and the state [h | c] before it.
-
-    The gate pre-activations [x | h] @ weight + bias hold the input, forget,
-    output and candidate gates; c_t = f*c + i*g and h_t = o*tanh(c_t). Forward
-    and backward form every product in the order the separate concat, matmul,
-    add_rowvec, sigmoid, tanh, narrow, mul and add rules do; the weight's
-    gradient is a matmul pair (see `_settle`).
-    """
-    hid = hc_prev.shape[1] // 2 if hc_prev.data.ndim == 2 else -1
-    if (x.data.ndim != 2 or hc_prev.shape != (x.shape[0], 2 * hid)
-            or weight.shape != (x.shape[1] + hid, 4 * hid) or bias.shape != (4 * hid,)):
-        raise ShapeError(f"lstm_step: incompatible shapes {x.shape}, {hc_prev.shape}, "
-                         f"{weight.shape} and {bias.shape}")
-    dim, c_prev = x.shape[1], hc_prev.data[:, hid:]
-    xh = np.concatenate([x.data, hc_prev.data[:, :hid]], axis=1)
-    pre = xh @ weight.data + bias.data
-    ifo = _sigmoid(pre[:, :3 * hid])
-    g = np.tanh(pre[:, 3 * hid:])
-    i, f, o = ifo[:, :hid], ifo[:, hid:2 * hid], ifo[:, 2 * hid:]
-    hc = np.empty_like(hc_prev.data)
-    c = np.add(f * c_prev, i * g, out=hc[:, hid:])
-    tc = np.tanh(c)
-    np.multiply(o, tc, out=hc[:, :hid])
-
-    def backward_fn():
-        gh, gc = out.grad[:, :hid], out.grad[:, hid:]
-        dc = gc + (gh * o) * (1.0 - tc * tc)
-        d = np.empty_like(pre)
-        np.multiply(dc, g, out=d[:, :hid])
-        np.multiply(dc, c_prev, out=d[:, hid:2 * hid])
-        np.multiply(gh, tc, out=d[:, 2 * hid:3 * hid])
-        d[:, :3 * hid] *= ifo * (1.0 - ifo)
-        np.multiply(dc * i, 1.0 - g * g, out=d[:, 3 * hid:])
-        if bias.requires_grad:
-            bias._accumulate(d.sum(axis=0))
-        if weight.requires_grad:
-            if weight._matmul_pairs is None:
-                weight._matmul_pairs = []
-            weight._matmul_pairs.append((xh, d))
-        if x.requires_grad or hc_prev.requires_grad:
-            dxh = d @ weight.data.T  # whole, as the composed matmul rule forms it
-            x._accumulate(dxh[:, :dim])
-            if hc_prev.requires_grad:
-                hc_prev._accumulate(np.concatenate([dxh[:, dim:], dc * f], axis=1))
-
-    out = _make_node(hc, (x, hc_prev, weight, bias), backward_fn)
     return out
 
 

@@ -359,6 +359,17 @@ def cmd_evaluate(ws: Workspace, cfg: dict, seed: int, split: str) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value: a non-negative integer, as `np.random.SeedSequence` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
+    return seed
+
+
 @functools.cache  # one parser per process: building it costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -370,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
+        p.add_argument("--seed", type=_seed, default=42,
+                       help="base seed, at least 0 (default 42)")
 
     common(sub.add_parser("datagen", help="generate the synthetic dataset"))
     p_train = sub.add_parser("train", help="train one pipeline stage")

@@ -96,11 +96,12 @@ class LSTMCell(Module):
     """Single LSTM cell over one fused gate matrix.
 
     `weight` is (input+hidden, 4*hidden) and `bias` is (4*hidden,), their
-    columns in `GATES` order. The state is one (batch, 2*hidden) tensor [h | c]
-    and a step is one `ad.lstm_step` node. Each gate's block is drawn as its
-    own Glorot matrix (fan-out `hidden`); the forget-gate bias starts at +1 so
-    early training keeps cell memory. With `rng=None` the weight is one
-    uninitialised array, as `glorot_uniform` gives.
+    columns in `GATES` order. The state is one (batch, 2*hidden) array [h | c].
+    `step` is the cell's one-step forward on arrays; `lstm_run` records a whole
+    run as one graph node and `text_ae.decode_texts` steps it greedily. Each
+    gate's block is drawn as its own Glorot matrix (fan-out `hidden`); the
+    forget-gate bias starts at +1 so early training keeps cell memory. With
+    `rng=None` the weight is one uninitialised array, as `glorot_uniform` gives.
     """
 
     GATES = ("input", "forget", "output", "candidate")  # sigmoid gates first, then tanh
@@ -119,31 +120,98 @@ class LSTMCell(Module):
         self.weight = self._register("weight", weight)
         self.bias = self._register("bias", Tensor(bias))
 
-    def step(self, x_t: Tensor, hc_prev: Tensor) -> Tensor:
-        return ad.lstm_step(x_t, hc_prev, self.weight, self.bias)
-
-    def zero_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, 2 * self.hidden_dim)))
+    def step(self, x_t: np.ndarray, hc_prev: np.ndarray) -> tuple:
+        """The state [h_t | c_t] after input x_t (batch, input) from [h | c]
+        (batch, 2*hidden), and what `lstm_run`'s backward reads of the step:
+        (xh, ifo, g, c, tanh(c_t)), with xh = [x_t | h], the sigmoid gates
+        ifo = [i | f | o] and the candidate g. The gate pre-activations are
+        xh @ weight + bias; c_t = f*c + i*g and h_t = o*tanh(c_t). The caller
+        checks the shapes."""
+        hid = self.hidden_dim
+        c_prev = hc_prev[:, hid:]
+        xh = np.concatenate([x_t, hc_prev[:, :hid]], axis=1)
+        pre = xh @ self.weight.data + self.bias.data
+        ifo = ad._sigmoid(pre[:, :3 * hid])
+        g = np.tanh(pre[:, 3 * hid:])
+        hc = np.empty_like(hc_prev)
+        c = np.add(ifo[:, hid:2 * hid] * c_prev, ifo[:, :hid] * g, out=hc[:, hid:])
+        tc = np.tanh(c)
+        np.multiply(ifo[:, 2 * hid:], tc, out=hc[:, :hid])
+        return hc, (xh, ifo, g, c_prev, tc)
 
 
 def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False,
              state: Tensor | None = None) -> Tensor:
     """Run a cell over a time-major (T, batch, dim) tensor from `state` [h | c],
     zeros if None; returns h_t of step t at rows t*batch:(t+1)*batch of one
-    (T*batch, hidden) tensor. Step t narrows those rows of the input, viewed
-    once as (T*batch, dim), and steps the cell: 2 nodes per step and 3 per run."""
+    (T*batch, hidden) tensor.
+
+    The input is viewed once as (T*batch, dim) rows (a reshape node), and the
+    whole run is one more node: its forward calls `cell.step` once per step,
+    its backward runs backpropagation through time from the last step to the
+    first. That backward forms every product as the per-step nodes it replaces
+    did (narrow the rows, step, concat the states, narrow their h columns), so
+    every value and gradient is theirs bit for bit: the weight gets one matmul
+    pair per step, in backward order (see `autodiff`), and the bias one row sum
+    per step. Under `no_grad` the run keeps nothing for backward.
+    """
     if inputs.data.ndim != 3:
         raise ShapeError(f"lstm_run expects (T, batch, dim), got {inputs.shape}")
     t_steps, batch, dim = inputs.shape
     if t_steps < 1:
         raise ShapeError("empty sequence")
-    hc = cell.zero_state(batch) if state is None else state
+    weight, bias, hid = cell.weight, cell.bias, cell.hidden_dim
+    if weight.shape[0] != dim + hid or (state is not None and state.shape != (batch, 2 * hid)):
+        raise ShapeError(f"lstm_run: input {inputs.shape} and state "
+                         f"{None if state is None else state.shape} do not fit a cell of "
+                         f"weight {weight.shape}")
     rows = ad.reshape(inputs, (t_steps * batch, dim))
-    states: list = [None] * t_steps
-    for t in reversed(range(t_steps)) if reverse else range(t_steps):
-        hc = cell.step(ad.narrow(rows, 0, t * batch, batch), hc)
-        states[t] = hc
-    return ad.narrow(ad.concat(states, axis=0), 1, 0, cell.hidden_dim)
+    parents = (rows, weight, bias) + (() if state is None else (state,))
+    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
+    saved = [] if ad._records(parents) else None
+    hc = np.zeros((batch, 2 * hid)) if state is None else state.data
+    out_data = np.empty((t_steps * batch, hid))
+    for t in order:
+        hc, cache = cell.step(rows.data[t * batch:(t + 1) * batch], hc)
+        out_data[t * batch:(t + 1) * batch] = hc[:, :hid]
+        if saved is not None:
+            saved.append(cache)
+        del cache  # unrecorded, a step's arrays go before the next step allocates its own
+
+    def backward_fn():
+        dx = np.empty_like(rows.data) if rows.requires_grad else None
+        to_state = state is not None and state.requires_grad
+        for t, (xh, ifo, g, c_prev, tc) in zip(reversed(order), reversed(saved)):
+            block = slice(t * batch, (t + 1) * batch)
+            # the concat's gradient of state t, its c columns zero-filled by the
+            # h-column narrow, plus the one the next step in run order passed back
+            if t == order[-1]:
+                gh, gc = out.grad[block], 0.0
+            else:
+                gh, gc = out.grad[block] + dxh[:, dim:], 0.0 + dc * f
+            i, f, o = ifo[:, :hid], ifo[:, hid:2 * hid], ifo[:, 2 * hid:]
+            dc = gc + (gh * o) * (1.0 - tc * tc)
+            d = np.empty((batch, 4 * hid))
+            np.multiply(dc, g, out=d[:, :hid])
+            np.multiply(dc, c_prev, out=d[:, hid:2 * hid])
+            np.multiply(gh, tc, out=d[:, 2 * hid:3 * hid])
+            d[:, :3 * hid] *= ifo * (1.0 - ifo)
+            np.multiply(dc * i, 1.0 - g * g, out=d[:, 3 * hid:])
+            if bias.requires_grad:
+                bias._accumulate(d.sum(axis=0))
+            if weight.requires_grad:
+                weight._add_matmul_pair(xh, d)
+            if t != order[0] or dx is not None or to_state:
+                dxh = d @ weight.data.T  # whole, as the composed matmul rule formed it
+                if dx is not None:  # what the T narrows' zero-filled gradients summed
+                    dx[block] = dxh[:, :dim]  # to, as this GEMM gives no -0.0
+        if dx is not None:
+            rows._accumulate(dx)
+        if to_state:
+            state._accumulate(np.concatenate([dxh[:, dim:], dc * f], axis=1))
+
+    out = ad._make_node(out_data, parents, backward_fn if saved is not None else None)
+    return out
 
 
 def bilstm_encode(forward_cell: LSTMCell, backward_cell: LSTMCell, inputs: Tensor) -> Tensor:

@@ -137,7 +137,8 @@ def encode_text(model: TextAutoencoder, token_ids: np.ndarray) -> np.ndarray:
 
 def decode_texts(model: TextAutoencoder, s: np.ndarray) -> list[list[int]]:
     """Greedy argmax decoding of each row of an (N, sentence_dim) batch, from
-    BOS until EOS or the model's max_len; all rows step together.
+    BOS until EOS or the model's max_len; all rows step the decoder cell
+    together, on arrays, with no graph.
 
     PAD and BOS are suppressed so they never appear in the output; argmax
     breaks ties toward the lowest token id.
@@ -149,11 +150,11 @@ def decode_texts(model: TextAutoencoder, s: np.ndarray) -> list[list[int]]:
     steps = []
     ended = np.zeros(s.shape[0], dtype=bool)
     with ad.no_grad():
-        hc = model._dec_start(Tensor(s))
+        hc = model._dec_start(Tensor(s)).data
         prev = np.full(s.shape[0], Vocabulary.BOS)
         for _ in range(model.max_len):
-            hc = model.dec.step(model.embed(prev), hc)
-            logits = model.out(ad.narrow(hc, 1, 0, model.sentence_dim)).data
+            hc = model.dec.step(model.embed(prev).data, hc)[0]
+            logits = model.out(Tensor(hc[:, :model.sentence_dim])).data
             logits[:, Vocabulary.PAD] = -np.inf
             logits[:, Vocabulary.BOS] = -np.inf
             prev = np.argmax(logits, axis=1)

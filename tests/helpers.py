@@ -1,5 +1,5 @@
 """Test-only helpers: finite-difference gradient checks, the direct-loop convolution
-oracles, the composed LSTM step and the metric CSV reader.
+oracles, the composed LSTM step and run, and the metric CSV reader.
 
 Test modules import this as `helpers`; pytest puts `tests/` on `sys.path`.
 """
@@ -97,8 +97,7 @@ def upsample_conv_oracle(x: np.ndarray, w: np.ndarray, upsample: int = 2, stride
 
 def composed_step(cell, x_t: Tensor, hc_prev: Tensor) -> Tensor:
     """An `LSTMCell` step as separate narrow/concat/matmul/add_rowvec/sigmoid/tanh/
-    mul/add nodes: the oracle that `ad.lstm_step` must match bit for bit, forward
-    and backward."""
+    mul/add nodes, from the state tensor [h | c] to the next one."""
     hid = cell.hidden_dim
     h_prev, c_prev = ad.narrow(hc_prev, 1, 0, hid), ad.narrow(hc_prev, 1, hid, hid)
     pre = ad.add_rowvec(ad.matmul(ad.concat([x_t, h_prev], axis=1), cell.weight), cell.bias)
@@ -107,6 +106,20 @@ def composed_step(cell, x_t: Tensor, hc_prev: Tensor) -> Tensor:
     i, f, o = (ad.narrow(ifo, 1, k * hid, hid) for k in range(3))
     c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
     return ad.concat([ad.mul(o, ad.tanh(c_t)), c_t], axis=1)
+
+
+def composed_run(cell, inputs: Tensor, reverse: bool = False, state: Tensor = None) -> Tensor:
+    """`layers.lstm_run` as separate nodes: the input rows narrowed per step, each
+    step a `composed_step`, the states concatenated and their h columns narrowed.
+    The oracle that the run's one node must match bit for bit, forward and backward."""
+    t_steps, batch, dim = inputs.shape
+    hc = Tensor(np.zeros((batch, 2 * cell.hidden_dim))) if state is None else state
+    rows = ad.reshape(inputs, (t_steps * batch, dim))
+    states = [None] * t_steps
+    for t in reversed(range(t_steps)) if reverse else range(t_steps):
+        hc = composed_step(cell, ad.narrow(rows, 0, t * batch, batch), hc)
+        states[t] = hc
+    return ad.narrow(ad.concat(states, axis=0), 1, 0, cell.hidden_dim)
 
 
 def read_metric_rows(path) -> list[dict]:

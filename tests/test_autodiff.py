@@ -730,47 +730,6 @@ def test_add_channel_bias_gradient_of_the_bias_alone():
     assert err <= 1e-6
 
 
-class TestLSTMStep:
-    @staticmethod
-    def operands(rng):
-        # x (2, 3), [h | c] (2, 2*4), weight (3 + 4, 4*4), bias (4*4,)
-        return [rng.normal(size=shape) for shape in ((2, 3), (2, 8), (7, 16), (16,))]
-
-    @pytest.mark.parametrize("which", range(4), ids=["x", "hc", "weight", "bias"])
-    def test_gradient_of_each_operand(self, which):
-        rng = np.random.default_rng(15)
-        operands = self.operands(rng)
-        w = Tensor(rng.normal(size=(2, 8)))  # weighs the h and the c half differently
-
-        def loss(v):
-            args = [Tensor(a) for a in operands]
-            args[which] = v
-            return ad.reduce("sum", ad.mul(ad.lstm_step(*args), w))
-
-        assert gradient_check(loss, t(operands[which])) <= 1e-6
-
-    @pytest.mark.parametrize("shapes", [
-        ((2, 3), (2, 7), (7, 14), (14,)),   # odd state width
-        ((2, 3), (1, 8), (7, 16), (16,)),   # batch differs
-        ((2, 3), (2, 8), (8, 16), (16,)),   # weight rows are not input + hidden
-        ((2, 3), (2, 8), (7, 12), (16,)),   # weight columns are not 4 * hidden
-        ((2, 3), (2, 8), (7, 16), (12,)),   # bias
-        ((3,), (2, 8), (7, 16), (16,)),     # rank of x
-        ((2, 3), (2, 8), (7, 16), (1, 16)),  # rank of the bias
-    ])
-    def test_shape_mismatch_rejected(self, shapes):
-        with pytest.raises(ShapeError):
-            ad.lstm_step(*(t(np.zeros(shape)) for shape in shapes))
-
-    def test_constant_operands_get_no_gradient(self):
-        rng = np.random.default_rng(16)
-        x, hc, weight, bias = (t(a) for a in self.operands(rng))
-        weight.requires_grad = True
-        backward(ad.reduce("sum", ad.lstm_step(x, hc, weight, bias)))
-        assert weight.grad is not None
-        assert x.grad is None and hc.grad is None and bias.grad is None
-
-
 @pytest.mark.parametrize("op, x, c, factor, want", [
     ("add", [1e-300, 1e-300], 0.0, 1e308, [1e308, 1e308]),  # d c: a sum of two 1e308
     ("sub", [1e-300, 1e-300], 0.0, 1e308, [1e308, 1e308]),

@@ -740,15 +740,22 @@ class TestPipeline:
             assert metric in report
 
 
-def test_one_parser_serves_every_call(capsys):
+def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("XMODAL_WORKDIR", str(tmp_path))  # a parse that let a call through runs there
     parser = cli.build_parser()
     assert cli.build_parser() is parser
     assert parser.parse_args(["evaluate", "--split", "train"]).split == "train"
     assert parser.parse_args(["evaluate"]).split == "test"  # no state kept between parses
-    for argv, code in ((["--help"], 0), (["evaluate", "--split", "dev"], 2), (["--help"], 0)):
+    bad_seeds = [[*argv, "--seed", seed] for seed in ("-1", "x") for argv in (
+        ["datagen"], ["train", "--stage", "text-ae"],
+        ["translate", "--direction", "text-to-image", "--input", "caption.txt"], ["evaluate"])]
+    for argv, code in ((["--help"], 0), (["evaluate", "--split", "dev"], 2), (["--help"], 0),
+                       *((argv, 2) for argv in bad_seeds)):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == code
+        assert ("argument --seed" in capsys.readouterr().err) == (argv in bad_seeds)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_documents_config(capsys):

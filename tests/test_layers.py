@@ -9,9 +9,9 @@ from xmodal import autodiff as ad
 from xmodal.autodiff import ShapeError, Tensor, backward
 from xmodal.layers import (Conv2dLayer, DenseLayer, EmbeddingTable, LSTMCell, bilstm_encode,
                            glorot_uniform, lstm_run, max_over_time)
-from xmodal.text_ae import Vocabulary
+from xmodal.text_ae import TextAutoencoder, Vocabulary, decode_texts, train_text_autoencoder
 
-from helpers import composed_step, gradient_check
+from helpers import composed_run, composed_step, gradient_check
 
 
 def rng_for(seed=0):
@@ -86,9 +86,9 @@ def lstm_scalar_oracle(cell: LSTMCell, x, h, c):
     return o * np.tanh(c_t), c_t
 
 
-def state(h, c) -> Tensor:
-    """The [h | c] state tensor of a cell."""
-    return Tensor(np.concatenate([h, c], axis=1))
+def state(h, c) -> np.ndarray:
+    """The [h | c] state array of a cell."""
+    return np.concatenate([h, c], axis=1)
 
 
 class TestLSTMCell:
@@ -96,9 +96,9 @@ class TestLSTMCell:
         cell = LSTMCell(3, 4, rng_for(0))
         cell.weight.data[...] = 0.0
         cell.bias.data[...] = 0.0
-        hc_t = cell.step(Tensor(np.ones((2, 3))), cell.zero_state(2))
+        hc_t, _ = cell.step(np.ones((2, 3)), np.zeros((2, 8)))
         assert hc_t.shape == (2, 8)
-        np.testing.assert_array_equal(hc_t.data, 0.0)
+        np.testing.assert_array_equal(hc_t, 0.0)
 
     def test_forget_saturation_carries_memory(self):
         cell = LSTMCell(3, 4, rng_for(1))
@@ -106,19 +106,29 @@ class TestLSTMCell:
         cell.bias.data[...] = 0.0
         cell.bias.data[4:8] = 50.0  # saturated forget gate
         c_prev = rng_for(2).normal(size=(2, 4))
-        hc_t = cell.step(Tensor(np.ones((2, 3))), state(np.zeros((2, 4)), c_prev))
-        np.testing.assert_allclose(hc_t.data[:, 4:], c_prev, atol=1e-12)
+        hc_t, _ = cell.step(np.ones((2, 3)), state(np.zeros((2, 4)), c_prev))
+        np.testing.assert_allclose(hc_t[:, 4:], c_prev, atol=1e-12)
 
     def test_vs_scalar_oracle(self):
         cell = LSTMCell(3, 5, rng_for(3))
         x = rng_for(4).normal(size=(2, 3))
         h = rng_for(5).normal(size=(2, 5))
         c = rng_for(6).normal(size=(2, 5))
-        hc_t = cell.step(Tensor(x), state(h, c)).data
+        hc_t, _ = cell.step(x, state(h, c))
         for row in range(2):
             h_want, c_want = lstm_scalar_oracle(cell, x[row], h[row], c[row])
             np.testing.assert_allclose(hc_t[row, :5], h_want, atol=1e-12, rtol=0)
             np.testing.assert_allclose(hc_t[row, 5:], c_want, atol=1e-12, rtol=0)
+
+    def test_step_is_bit_identical_to_the_composed_step(self):
+        cell = LSTMCell(3, 4, rng_for(19))
+        rng = rng_for(20)
+        x, hc = rng.normal(size=(2, 3)), rng.normal(size=(2, 8))
+        hc_t, (xh, ifo, g, c_prev, tc) = cell.step(x, hc)
+        assert hc_t.tobytes() == composed_step(cell, Tensor(x), Tensor(hc)).data.tobytes()
+        assert np.array_equal(xh, np.concatenate([x, hc[:, :4]], axis=1))
+        assert ifo.shape == (2, 12) and g.shape == c_prev.shape == tc.shape == (2, 4)
+        assert np.array_equal(c_prev, hc[:, 4:]) and np.array_equal(tc, np.tanh(hc_t[:, 4:]))
 
     def test_initial_values_are_the_per_gate_draws(self):
         # each gate is its own Glorot draw with fan-out hidden, in GATES order;
@@ -132,37 +142,91 @@ class TestLSTMCell:
         np.testing.assert_array_equal(cell.bias.data[h:2 * h], 1.0)  # forget gate
         np.testing.assert_array_equal(np.delete(cell.bias.data, np.s_[h:2 * h]), 0.0)
 
-    @pytest.mark.parametrize("x_shape, hc_shape", [((2, 3), (2, 10)), ((2, 3), (1, 8)),
-                                                   ((2, 3), (2, 4)), ((2, 4), (2, 8))])
+
+class TestLSTMRun:
+    @pytest.mark.parametrize("x_shape, hc_shape", [
+        ((2, 3), (2, 10)),   # state wider than [h | c]
+        ((2, 3), (1, 8)),    # batch differs
+        ((2, 3), (2, 4)),    # state narrower
+        ((2, 4), (2, 8)),    # input width is not the cell's
+        ((2, 3), (8,)),      # rank of the state
+        ((2, 3), (1, 2, 8)),
+    ])
     def test_shape_mismatch(self, x_shape, hc_shape):
         cell = LSTMCell(3, 4, rng_for(8))
         with pytest.raises(ShapeError):
-            cell.step(Tensor(np.ones(x_shape)), Tensor(np.ones(hc_shape)))
+            lstm_run(cell, Tensor(np.ones((1,) + x_shape)), state=Tensor(np.ones(hc_shape)))
 
-    def test_gradient_through_step(self):
-        cell = LSTMCell(3, 4, rng_for(9))
-        hc0 = cell.zero_state(2)
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("which", ["inputs", "state", "weight", "bias"])
+    def test_gradient_of_each_operand(self, which, reverse):
+        rng = rng_for(15)
+        cell = LSTMCell(3, 4, rng)
+        operands = {"inputs": rng.normal(size=(3, 2, 3)), "state": rng.normal(size=(2, 8)),
+                    "weight": cell.weight.data, "bias": cell.bias.data}
+        w = Tensor(rng.normal(size=(6, 4)))
 
-        def f(v):
-            hc_t = cell.step(v, hc0)
-            return ad.reduce("sum", ad.mul(ad.narrow(hc_t, 1, 0, 4), ad.narrow(hc_t, 1, 4, 4)))
+        def loss(v):
+            args = {name: Tensor(a) for name, a in operands.items()}
+            args[which] = v
+            cell.weight, cell.bias = args["weight"], args["bias"]
+            out = lstm_run(cell, args["inputs"], reverse=reverse, state=args["state"])
+            return ad.reduce("sum", ad.mul(out, w))
 
-        assert gradient_check(f, Tensor(rng_for(10).normal(size=(2, 3)))) <= 1e-6
+        assert gradient_check(loss, Tensor(operands[which])) <= 1e-6
 
-    def test_run_makes_one_lstm_step_per_step_and_no_matmul(self, monkeypatch):
-        calls = {"matmul": 0, "transpose": 0, "lstm_step": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(ad, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(ad, name, counted)
-        cell = LSTMCell(3, 4, rng_for(11))
-        lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3))))
-        assert calls == {"matmul": 0, "transpose": 0, "lstm_step": 5}
+    def test_constant_operands_get_no_gradient(self):
+        rng = rng_for(16)
+        cell = LSTMCell(3, 4, rng)
+        cell.bias.requires_grad = False
+        x, hc = Tensor(rng.normal(size=(3, 2, 3))), Tensor(rng.normal(size=(2, 8)))
+        backward(ad.reduce("sum", lstm_run(cell, x, state=hc)))
+        assert cell.weight.grad is not None
+        assert x.grad is None and hc.grad is None and cell.bias.grad is None
 
-    def test_run_records_two_nodes_per_step_and_three_per_run(self, monkeypatch):
-        # the narrow of the input rows and the lstm_step per step; the reshape of
-        # the input, the concat of the states and the narrow of their h columns per run
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("t_steps, batch", [(5, 1), (5, 2), (1, 1), (1, 2)])
+    @pytest.mark.parametrize("start", ["zeros", "constant", "with-gradient"])
+    def test_run_is_bit_identical_to_the_composed_run(self, reverse, t_steps, batch, start):
+        def run(run_fn):
+            rng = rng_for(17)
+            cell = LSTMCell(3, 4, rng)
+            x = Tensor(rng.normal(size=(t_steps, batch, 3)), requires_grad=True)
+            hc0 = None if start == "zeros" else Tensor(rng.normal(size=(batch, 8)),
+                                                       requires_grad=start == "with-gradient")
+            out = run_fn(cell, x, reverse=reverse, state=hc0)
+            w = rng.normal(size=out.shape)
+            w[:batch, ::2] = -0.0  # signed zeros into one step's h gradient
+            backward(ad.reduce("sum", ad.mul(out, Tensor(w))))
+            grads = [x.grad, None if hc0 is None else hc0.grad, cell.weight.grad, cell.bias.grad]
+            return [out.data.tobytes()] + [None if g is None else g.tobytes() for g in grads]
+
+        got, want = run(lstm_run), run(composed_run)
+        assert (got[2] is None) == (start != "with-gradient")
+        assert got == want
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_signed_zeros_are_the_composed_run_s(self, reverse):
+        # one hidden unit; x0 drives the output gate and x1 the forget gate. The
+        # first step in run order shuts its output gate and the second its forget
+        # gate, so the second passes back dc * f = -0.5 * 0.0 to the first, which
+        # adds it to the concat's zero-filled c gradient: 0.0 + -0.0 is 0.0, and
+        # the start state's c gradient reads +0.0 where -0.0 + -0.0 would give -0.0
+        x = np.array([[[-1000.0, 0.0]], [[0.0, -1000.0]]])
+
+        def run(run_fn):
+            cell = LSTMCell(2, 1, rng_for(0))
+            cell.weight.data[...] = 0.0
+            cell.weight.data[0, 2] = cell.weight.data[1, 1] = 1.0
+            cell.bias.data[...] = 0.0
+            hc0 = Tensor(np.zeros((1, 2)), requires_grad=True)
+            out = run_fn(cell, Tensor(x[::-1] if reverse else x), reverse=reverse, state=hc0)
+            backward(ad.reduce("sum", ad.scale(out, -1.0)))
+            return [a.tobytes() for a in (out.data, hc0.grad, cell.weight.grad, cell.bias.grad)]
+
+        assert run(lstm_run) == run(composed_run)
+
+    def test_run_records_one_node_and_the_reshape(self, monkeypatch):
         made = []
 
         def counted(*args, _fn=ad._make_node):
@@ -171,41 +235,54 @@ class TestLSTMCell:
 
         monkeypatch.setattr(ad, "_make_node", counted)
         cell = LSTMCell(3, 4, rng_for(11))
-        lstm_run(cell, Tensor(rng_for(12).normal(size=(5, 2, 3)), requires_grad=True))
-        assert len(made) == 2 * 5 + 3
+        x = Tensor(rng_for(12).normal(size=(5, 2, 3)), requires_grad=True)
+        out = lstm_run(cell, x)
+        assert made[-1] is out and len(made) == 2
         assert all(node.requires_grad for node in made)
+        assert out._parents == (made[0], cell.weight, cell.bias)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_run_is_bit_identical_to_the_composed_step(self, monkeypatch, reverse):
-        def run(step):
-            cell = LSTMCell(3, 4, rng_for(16))
-            x = Tensor(rng_for(17).normal(size=(5, 2, 3)), requires_grad=True)
-            hc0 = Tensor(rng_for(18).normal(size=(2, 8)), requires_grad=True)
-            monkeypatch.setattr(cell, "step", step(cell))
-            out = lstm_run(cell, x, reverse=reverse, state=hc0)
-            w = Tensor(rng_for(19).normal(size=(10, 4)))
-            backward(ad.reduce("sum", ad.mul(out, w)))
-            return [out.data, x.grad, hc0.grad, cell.weight.grad, cell.bias.grad]
+    def test_run_under_no_grad_keeps_nothing(self):
+        cell = LSTMCell(3, 4, rng_for(11))
+        x = Tensor(rng_for(12).normal(size=(5, 2, 3)), requires_grad=True)
+        with ad.no_grad():
+            out = lstm_run(cell, x, state=Tensor(np.zeros((2, 8)), requires_grad=True))
+        assert out._parents == () and out._backward_fn is None and not out.requires_grad
 
-        fused = run(lambda cell: cell.step)
-        composed = run(lambda cell: lambda *args: composed_step(cell, *args))
-        assert all(np.array_equal(a, b) for a, b in zip(fused, composed, strict=True))
+    @staticmethod
+    def count_steps(monkeypatch) -> list:
+        calls = []
 
-    @pytest.mark.parametrize("constant_hc", [True, False])
-    def test_step_is_bit_identical_to_the_composed_step(self, constant_hc):
-        def run(step):
-            cell = LSTMCell(3, 4, rng_for(19))
-            rng = rng_for(20)
-            x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-            hc = Tensor(rng.normal(size=(2, 8)), requires_grad=not constant_hc)
-            hc_t = step(cell, x, hc)
-            backward(ad.reduce("sum", ad.mul(hc_t, Tensor(rng.normal(size=(2, 8))))))
-            return [hc_t.data, x.grad, hc.grad, cell.weight.grad, cell.bias.grad]
+        def counted(self, *args, _fn=LSTMCell.step):
+            calls.append(self)
+            return _fn(self, *args)
 
-        fused = run(LSTMCell.step)
-        composed = run(composed_step)
-        assert (fused[2] is None) == constant_hc
-        assert all(np.array_equal(a, b) for a, b in zip(fused, composed, strict=True))
+        monkeypatch.setattr(LSTMCell, "step", counted)
+        return calls
+
+    @pytest.mark.parametrize("caption", ["red circle", "a small red circle on white"])
+    def test_training_step_steps_the_cells_three_t_plus_one_times(self, monkeypatch, caption):
+        # T steps of each encoder direction and T + 1 of the decoder (BOS, then the tokens)
+        corpus = [(0, caption.split())]
+        vocab = Vocabulary.from_corpus(corpus)
+        model = TextAutoencoder(len(vocab), 5, 3, rng_for(21))
+        calls = self.count_steps(monkeypatch)
+        train_text_autoencoder(corpus, vocab, model, epochs=1, batch_size=1, lr=1e-3,
+                               rng=rng_for(22))
+        t_steps = len(corpus[0][1])
+        assert len(calls) == 3 * t_steps + 1
+        assert calls.count(model.dec) == t_steps + 1
+
+    def test_decode_steps_the_cell_once_per_emitted_step(self, monkeypatch):
+        vocab = Vocabulary.from_corpus([(0, "a red circle on a white square".split())])
+        model = TextAutoencoder(len(vocab), 5, 3, rng_for(26), max_len=8)
+        model.out.bias.data[Vocabulary.EOS] += 0.2  # every row ends, after 0 to 2 tokens
+        s = rng_for(24).normal(size=(8, model.sentence_dim)) * 3.0
+        calls = self.count_steps(monkeypatch)
+        rows = decode_texts(model, s)
+        # the batch stops at the step where its last row met EOS
+        steps = max(len(ids) + 1 for ids in rows)
+        assert steps < model.max_len and len({len(ids) for ids in rows}) > 1
+        assert len(calls) == steps and set(map(id, calls)) == {id(model.dec)}
 
     def test_run_writes_the_fused_weight_gradient_once(self):
         class CountedWeight(Tensor):
@@ -231,11 +308,11 @@ class TestLSTMCell:
 
         # oracle: a separate weight leaf per step, each given its own product
         leaves, states = [], []
-        hc = cell.zero_state(2)
+        hc = Tensor(np.zeros((2, 8)))
         for t in range(5):
             cell.weight = Tensor(weight, requires_grad=True)
             leaves.append(cell.weight)
-            hc = cell.step(Tensor(x[t]), hc)
+            hc = composed_step(cell, Tensor(x[t]), hc)
             states.append(ad.narrow(hc, 1, 0, 4))
         backward(ad.reduce("sum", ad.stack0(states)))
         want = sum(leaf.grad for leaf in leaves)
@@ -251,8 +328,8 @@ class TestBiLSTM:
         fwd, bwd = LSTMCell(3, 4, rng_for(0)), LSTMCell(3, 4, rng_for(1))
         x = rng_for(2).normal(size=(1, 2, 3))
         out = bilstm_encode(fwd, bwd, Tensor(x))
-        h_f = fwd.step(Tensor(x[0]), fwd.zero_state(2)).data[:, :4]
-        h_b = bwd.step(Tensor(x[0]), bwd.zero_state(2)).data[:, :4]
+        h_f = fwd.step(x[0], np.zeros((2, 8)))[0][:, :4]
+        h_b = bwd.step(x[0], np.zeros((2, 8)))[0][:, :4]
         np.testing.assert_allclose(out.data[0], np.concatenate([h_f, h_b], axis=1), atol=1e-14)
 
     def test_output_shape_with_paper_hidden(self):

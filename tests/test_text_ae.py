@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodal import autodiff as ad
+from xmodal import layers, text_ae
 from xmodal.autodiff import ShapeError, Tensor, backward
 from xmodal.errors import FormatError
 from xmodal.layers import bilstm_encode
@@ -15,7 +16,7 @@ from xmodal.text_ae import (TextAutoencoder, Vocabulary, decode_text, decode_tex
                             detokenize, encode_text, encode_texts, roundtrip, tokenize,
                             train_text_autoencoder)
 
-from helpers import composed_step, gradient_check
+from helpers import composed_run, composed_step, gradient_check
 
 CORPUS = [
     (0, tokenize("a red circle on a white background")),
@@ -170,11 +171,11 @@ def decode_one_row(model, s):
     """Oracle: greedy decoding of one embedding by stepping the cell on one row."""
     out = []
     with ad.no_grad():
-        hc = Tensor(np.concatenate([s, np.zeros(model.sentence_dim)]).reshape(1, -1))
+        hc = np.concatenate([s, np.zeros(model.sentence_dim)]).reshape(1, -1)
         prev = np.asarray([Vocabulary.BOS])
         for _ in range(model.max_len):
-            hc = model.dec.step(model.embed(prev), hc)
-            logits = model.out(Tensor(hc.data[:, :model.sentence_dim])).data[0].copy()
+            hc, _ = model.dec.step(model.embed(prev).data, hc)
+            logits = model.out(Tensor(hc[:, :model.sentence_dim])).data[0].copy()
             logits[Vocabulary.PAD] = -np.inf
             logits[Vocabulary.BOS] = -np.inf
             token = int(np.argmax(logits))
@@ -275,11 +276,11 @@ class TestDecoderLoss:
 
     @staticmethod
     def per_step_logits(model, s, input_ids):
-        """The decoder as its own loop, one embedding lookup per step."""
+        """The decoder as its own loop of composed steps, one embedding lookup per step."""
         hc = model._dec_start(s)
         states = []
         for t in range(input_ids.shape[0]):
-            hc = model.dec.step(model.embed(input_ids[t]), hc)
+            hc = composed_step(model.dec, model.embed(input_ids[t]), hc)
             states.append(ad.narrow(hc, 1, 0, model.dec.hidden_dim))
         return model.out(ad.concat(states, axis=0))
 
@@ -380,19 +381,25 @@ class TestTraining:
         assert exact >= 4
 
     @pytest.mark.parametrize("batch_size", [1, 2])
-    def test_training_is_bit_identical_to_the_composed_step(self, monkeypatch, batch_size):
-        # every cell stepping through the composed oracle instead of ad.lstm_step
+    def test_training_is_bit_identical_to_the_composed_run(self, monkeypatch, batch_size):
+        # every run of a cell, encoder and decoder, built from the composed oracle's nodes
         vocab = Vocabulary.from_corpus(CORPUS)
         s = np.random.default_rng(18).normal(size=(3, 100))
+        runs = []
+
+        def counted_run(*args, **kw):
+            runs.append(None)
+            return composed_run(*args, **kw)
 
         def train(composed):
             model = make_model(vocab, seed=17, max_len=8)
             if composed:
-                for cell in (model.enc_fwd, model.enc_bwd, model.dec):
-                    monkeypatch.setattr(cell, "step",
-                                        lambda *args, _cell=cell: composed_step(_cell, *args))
+                monkeypatch.setattr(layers, "lstm_run", counted_run)  # bilstm_encode's
+                monkeypatch.setattr(text_ae, "lstm_run", counted_run)  # decoder_logits'
             train_text_autoencoder(CORPUS, vocab, model, epochs=2, batch_size=batch_size, lr=3e-3,
                                    rng=np.random.default_rng(17))
+            if composed:  # 3 runs a step; 5 captions make 5 batches of 1, or 3 of equal length
+                assert len(runs) == 3 * 2 * {1: 5, 2: 3}[batch_size]
             embeddings = encode_texts(model, [vocab.encode(toks) for _, toks in CORPUS])
             params = {name: p.data for name, p in model.named_parameters()}
             return params, embeddings, decode_texts(model, np.concatenate([embeddings, s]))
