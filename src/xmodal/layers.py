@@ -149,11 +149,12 @@ def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False,
     The input is viewed once as (T*batch, dim) rows (a reshape node), and the
     whole run is one more node: its forward calls `cell.step` once per step,
     its backward runs backpropagation through time from the last step to the
-    first. That backward forms every product as the per-step nodes it replaces
-    did (narrow the rows, step, concat the states, narrow their h columns), so
-    every value and gradient is theirs bit for bit: the weight gets one matmul
-    pair per step, in backward order (see `autodiff`), and the bias one row sum
-    per step. Under `no_grad` the run keeps nothing for backward.
+    first. That backward forms every product in the order a graph of per-step
+    nodes would (narrow the rows, step, concat the states, narrow their h
+    columns), so every value and gradient is that graph's bit for bit: the
+    weight gets one matmul pair per step, in backward order (see `autodiff`),
+    and the bias one row sum per step. Under `no_grad` the run keeps nothing
+    for backward.
     """
     if inputs.data.ndim != 3:
         raise ShapeError(f"lstm_run expects (T, batch, dim), got {inputs.shape}")
