@@ -492,8 +492,10 @@ def pairwise_sq_dists(x: Tensor, y: Tensor) -> Tensor:
 
     def backward_fn():
         g = out.grad
-        x._accumulate(2.0 * (x.data * g.sum(axis=1)[:, None] - g @ y.data))
-        y._accumulate(2.0 * (y.data * g.sum(axis=0)[:, None] - g.T @ x.data))
+        if x.requires_grad:
+            x._accumulate(2.0 * (x.data * g.sum(axis=1)[:, None] - g @ y.data))
+        if y.requires_grad:
+            y._accumulate(2.0 * (y.data * g.sum(axis=0)[:, None] - g.T @ x.data))
 
     out = _make_node(d, (x, y), backward_fn)
     return out
@@ -793,8 +795,9 @@ def reduce(op_tag: str, x: Tensor, axis: Optional[int] = None) -> Tensor:
 # -- backward and checking ------------------------------------------------
 
 
-def backward(loss: Tensor):
-    """Propagate d(loss)/d(tensor) into .grad of every reachable parameter.
+def backward(loss: Tensor, params: Optional[Sequence[Tensor]] = None):
+    """Propagate d(loss)/d(tensor) into .grad of every reachable parameter, or of `params`
+    only: every node that reaches none of them has requires_grad off for the pass only.
 
     The pass consumes the graph as it goes: a node drops its links, closure and
     gradient once its rule has run, and a later pass through it raises
@@ -821,15 +824,25 @@ def backward(loss: Tensor):
             if id(p) not in seen:
                 stack.append((p, False))
 
-    loss._accumulate(np.ones_like(loss.data))
+    frozen = []
+    if params is not None:
+        reaching = {id(p) for p in params}
+        for node in topo:  # parents first
+            if id(node) in reaching or any(id(p) in reaching for p in node._parents):
+                reaching.add(id(node))
+            elif node.requires_grad:
+                node.requires_grad = False
+                frozen.append(node)
     try:
+        loss._accumulate(np.ones_like(loss.data))
         # reverse topological order: every consumer of a node has run and been
         # released before the node's turn, so its recorded matmul pairs are complete
         for node in reversed(topo):
             if node._matmul_pairs is not None:
                 node._settle()
             if node._parents:
-                node._backward_fn()
+                if node.requires_grad:
+                    node._backward_fn()
                 node._consumed = True
                 node._parents = ()
                 node._backward_fn = None
@@ -840,3 +853,6 @@ def backward(loss: Tensor):
             if node._parents:
                 node.grad = None
         raise
+    finally:
+        for node in frozen:
+            node.requires_grad = True

@@ -6,6 +6,7 @@ Unknown keys are rejected so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -27,10 +28,10 @@ class Domain(NamedTuple):
     accepts: Callable
 
 
-# Each comparison is False for NaN, so every numeric domain rejects it.
-POSITIVE = Domain("positive", lambda v: v > 0)
-AT_LEAST_0 = Domain("at least 0", lambda v: v >= 0)
-AT_LEAST_2 = Domain("at least 2", lambda v: v >= 2)
+# Comparisons are False for NaN and each upper bound excludes inf: both are rejected.
+POSITIVE = Domain("positive and finite", lambda v: 0 < v < math.inf)
+AT_LEAST_0 = Domain("finite and at least 0", lambda v: 0 <= v < math.inf)
+AT_LEAST_2 = Domain("finite and at least 2", lambda v: 2 <= v < math.inf)
 UNIT = Domain("in [0, 1)", lambda v: 0 <= v < 1)
 MAPPER_KIND = Domain("gan or mmd", lambda v: v in ("gan", "mmd"))
 

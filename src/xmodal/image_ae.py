@@ -78,8 +78,8 @@ class ImageEncoder(Module):
 class CondAugment(Module):
     """Reparameterized Gaussian around the image embedding.
 
-    The projection outputs mean and log-variance, so sigma = exp(logvar/2)
-    stays positive without constraints.
+    The projection outputs mean and log-variance, so sigma = exp(logvar/2) stays positive
+    without constraints; the training loss and `generate_images` check their finiteness.
     """
 
     def __init__(self, cfg: ImageAEConfig, rng: np.random.Generator):
@@ -97,8 +97,6 @@ class CondAugment(Module):
                  sample: bool = True) -> tuple[Tensor, Tensor]:
         """Return (c_hat, kl). With sample=False, c_hat = mu (inference mode)."""
         mu, logvar = self.moments(psi)
-        if not (np.all(np.isfinite(mu.data)) and np.all(np.isfinite(logvar.data))):
-            raise DivergenceError("conditional augmentation produced non-finite moments")
         kl = kl_standard_normal(mu, logvar)
         if sample:
             eps = Tensor(rng.standard_normal(mu.shape))
@@ -260,11 +258,7 @@ class ImageAutoencoder(Module):
 
 def encode_image(model: ImageAutoencoder, image: np.ndarray) -> np.ndarray:
     """Deterministic embedding of one (3, S, S) image with values in [-1, 1]."""
-    data = np.asarray(image, dtype=np.float64)
-    cfg = model.cfg
-    if data.shape != (3, cfg.top_res, cfg.top_res):
-        raise ShapeError(f"encode_image expects (3, {cfg.top_res}, {cfg.top_res}), got {data.shape}")
-    return encode_image_batch(model, data[None])[0]
+    return encode_image_batch(model, np.asarray(image, dtype=np.float64)[None])[0]
 
 
 def encode_image_batch(model: ImageAutoencoder, images: np.ndarray) -> np.ndarray:
@@ -278,16 +272,16 @@ def encode_image_batch(model: ImageAutoencoder, images: np.ndarray) -> np.ndarra
 
 def generate_images(model: ImageAutoencoder, psi: np.ndarray, rng: np.random.Generator,
                     sample_augment: bool = False) -> list[np.ndarray]:
-    """Embedding -> branch images. With sample_augment=False, c_hat = mu and
-    only the auxiliary noise z is drawn."""
-    psi = np.asarray(psi, dtype=np.float64)
-    if psi.ndim == 1:
-        psi = psi[None]
+    """Embedding -> branch images. With sample_augment=False, c_hat = mu and only the
+    auxiliary noise z is drawn. A non-finite c_hat or image raises DivergenceError."""
+    psi = np.atleast_2d(np.asarray(psi, dtype=np.float64))
     with ad.no_grad():
         c_hat, _ = model.augment(Tensor(psi), rng, sample=sample_augment)
         z = Tensor(rng.standard_normal((psi.shape[0], model.cfg.d_z)))
-        images = model.generator(c_hat, z)
-    return [u.data.copy() for u in images]
+        images = [u.data.copy() for u in model.generator(c_hat, z)]
+    if not all(np.isfinite(a).all() for a in [c_hat.data, *images]):
+        raise DivergenceError("the image generator maps to non-finite values; retrain it")
+    return images
 
 
 def downsample_to(images: np.ndarray, resolution: int) -> np.ndarray:
@@ -298,18 +292,13 @@ def downsample_to(images: np.ndarray, resolution: int) -> np.ndarray:
     return out
 
 
-def _set_requires_grad(params: list[Tensor], flag: bool) -> None:
-    for p in params:
-        p.requires_grad = flag
-
-
 def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
                             rng: np.random.Generator, log=None) -> None:
     """Alternating per-branch discriminator updates and one generator-side update.
 
     The discriminators are built from `rng` here and never leave this call.
     `images` is (N, 3, top_res, top_res) in [-1, 1]; metric rows go to `log`.
-    A non-finite loss or conditioning moment raises DivergenceError (last_good set).
+    A non-finite loss raises DivergenceError (last_good set); a step forms no adversary gradient.
     """
     cfg = model.cfg
     n_total = images.shape[0]
@@ -321,46 +310,38 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
     discs = [BranchDiscriminator(cfg, r, rng) for r in cfg.resolutions]
     gen_opt = Adam(model.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
     disc_opts = [Adam(d.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2)) for d in discs]
-    disc_params = [p for d in discs for p in d.parameters()]
 
     run = TrainingRun(model.named_parameters(), gen_opt, log)
-    try:
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n_total)
-            for start in range(0, n_total - cfg.batch + 1, cfg.batch):
-                idx = order[start:start + cfg.batch]
-                x = Tensor(images[idx])
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n_total)
+        for start in range(0, n_total - cfg.batch + 1, cfg.batch):
+            idx = order[start:start + cfg.batch]
+            x = Tensor(images[idx])
 
-                # discriminator phase: fakes and conditioning detached
-                _set_requires_grad(disc_params, True)
-                with ad.no_grad():
-                    psi = model.encoder(x)
-                    c_hat, _ = model.augment(psi, rng)
-                    z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))
-                    fakes = model.generator(c_hat, z)
-                for i, (disc, opt) in enumerate(zip(discs, disc_opts)):
-                    real_i = Tensor(reals_by_branch[i][idx])
-                    d_loss = discriminator_loss(disc, real_i, fakes[i], c_hat)
-                    run.emit(f"d_loss_{i}",
-                             run.minimize(opt, d_loss, f"image autoencoder discriminator {i} loss"))
-
-                # generator phase: fresh forward, every discriminator frozen, so
-                # backward computes no discriminator gradient
-                _set_requires_grad(disc_params, False)
+            # discriminator phase: fakes and conditioning detached
+            with ad.no_grad():
                 psi = model.encoder(x)
-                c_hat, kl = model.augment(psi, rng)
+                c_hat, _ = model.augment(psi, rng)
                 z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))
                 fakes = model.generator(c_hat, z)
-                g_adv = generator_adversarial_loss(discs, fakes, c_hat)
-                rec = l1_reconstruction(fakes[-1], x)
-                total = ad.add(g_adv, ad.add(ad.scale(kl, cfg.lambda_kl),
-                                             ad.scale(rec, cfg.lambda_rec)))
-                g_total = run.minimize(gen_opt, total, "image autoencoder generator loss")
-                run.emit("g_adv", g_adv.item())
-                run.emit("kl", kl.item())
-                run.emit("l1_rec", rec.item())
-                run.emit("g_total", g_total)
-    except DivergenceError as e:  # non-finite conditioning moments carry no parameters
-        if e.last_good is None:
-            e.last_good = run.last_good
-        raise
+            for i, (disc, opt) in enumerate(zip(discs, disc_opts)):
+                real_i = Tensor(reals_by_branch[i][idx])
+                d_loss = discriminator_loss(disc, real_i, fakes[i], c_hat)
+                run.emit(f"d_loss_{i}",
+                         run.minimize(opt, d_loss, f"image autoencoder discriminator {i} loss"))
+
+            # generator phase: a fresh forward; its step differentiates the
+            # model only, so backward forms no discriminator gradient
+            psi = model.encoder(x)
+            c_hat, kl = model.augment(psi, rng)
+            z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))
+            fakes = model.generator(c_hat, z)
+            g_adv = generator_adversarial_loss(discs, fakes, c_hat)
+            rec = l1_reconstruction(fakes[-1], x)
+            total = ad.add(g_adv, ad.add(ad.scale(kl, cfg.lambda_kl),
+                                         ad.scale(rec, cfg.lambda_rec)))
+            g_total = run.minimize(gen_opt, total, "image autoencoder generator loss")
+            run.emit("g_adv", g_adv.item())
+            run.emit("kl", kl.item())
+            run.emit("l1_rec", rec.item())
+            run.emit("g_total", g_total)

@@ -74,7 +74,8 @@ class TrainingRun:
             self.log({"metric": name, "value": value})
 
     def minimize(self, opt: Adam, loss: Tensor, what: str) -> float:
-        """One descent step of `opt` on `loss`; returns the loss value.
+        """One descent step of `opt` on `loss`, a backward over `opt.params` only (so an
+        adversary the loss reads gets no gradient); returns the loss value.
 
         A non-finite loss raises DivergenceError with `last_good` before any
         parameter changes; a finite loss of the run's own optimizer moves `last_good`.
@@ -85,6 +86,6 @@ class TrainingRun:
         if opt is self.opt:
             self.last_good = [(name, p.data) for name, p in self.named_params]
         opt.zero_grad()
-        ad.backward(loss)
+        ad.backward(loss, opt.params)
         opt.step()
         return value

@@ -633,6 +633,45 @@ class TestBackward:
         assert seen == [(True, (), True)]
         np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh([0.5, -1.0]) ** 2))
 
+    @staticmethod
+    def _generator_and_adversary():
+        # a dense generator feeding a dense adversary, as in a GAN's generator step
+        rng = np.random.default_rng(12)
+        gen, adv_w, adv_b = (t(rng.normal(size=s), grad=True) for s in ((3, 4), (2, 3), (2,)))
+        h = ad.tanh(ad.matmul(t(rng.normal(size=(5, 4))), ad.transpose(gen)))
+        scores = ad.add_rowvec(ad.matmul(h, ad.transpose(adv_w)), adv_b)
+        return gen, (adv_w, adv_b), h, ad.reduce("sum", ad.mul(scores, scores))
+
+    @pytest.mark.parametrize("params", [None, "generator"])
+    def test_backward_over_params_forms_no_other_gradient(self, monkeypatch, params):
+        settled, settle = [], Tensor._settle
+        monkeypatch.setattr(Tensor, "_settle", lambda self: settled.append(self) or settle(self))
+        gen, adversary, _, loss = self._generator_and_adversary()
+        backward(loss, None if params is None else [gen])
+        # one weight GEMM per transposed weight that the pass differentiates
+        assert len(settled) == (2 if params is None else 1)
+        full_gen, full_adversary, _, full_loss = self._generator_and_adversary()
+        backward(full_loss)
+        np.testing.assert_array_equal(gen.grad, full_gen.grad)
+        for p, full in zip(adversary, full_adversary):
+            assert p.requires_grad
+            if params is None:  # today's behaviour: every reachable leaf
+                np.testing.assert_array_equal(p.grad, full.grad)
+            else:
+                assert p.grad is None
+
+    def test_backward_over_params_restores_flags_after_a_failed_pass(self):
+        gen, adversary, h, loss = self._generator_and_adversary()
+
+        def fail():
+            raise RuntimeError("backward rule failed")
+
+        h._backward_fn = fail
+        with pytest.raises(RuntimeError):
+            backward(loss, [gen])
+        assert all(p.requires_grad and p.grad is None for p in adversary)
+        assert gen.requires_grad and h.requires_grad
+
 
 class TestGradientCheck:
     def test_sum_is_exact(self):

@@ -14,7 +14,7 @@ from xmodal.checkpoint import load_checkpoint, load_into, save_checkpoint, save_
 from xmodal.cli import (TRAIN_STAGES, Workspace, load_image_model, load_mapper, load_text_model,
                         main)
 from xmodal.config import config_lines, resolve_config, section
-from xmodal.data import load_caption_split, write_ppm
+from xmodal.data import load_caption_split, read_ppm, write_ppm
 from xmodal.image_ae import ImageAEConfig, ImageAutoencoder, encode_image_batch, generate_images
 from xmodal.layers import LSTMCell
 from xmodal.mappers import MapperGenerator, map_embedding
@@ -80,6 +80,7 @@ class TestExitCodes:
         "image_ae.beta2 = 1.5", "image_ae.epochs = 0", "text_ae.epochs = 0",
         "image_ae.gen_channels = 0", "image_ae.lambda_kl = -1", "image_ae.lambda_rec = -0.5",
         "mapper.lambda_ae = -1", "mapper.n_critic = 0", "mapper.n_critic = -1",
+        "mapper.lr = inf", "image_ae.lambda_kl = inf", "mapper.clip = inf", "image_ae.lr = -inf",
         pytest.param("data.image_size = 8\nimage_ae.branches = 1", id="top-res-8"),
         pytest.param("image_ae.base_res = 6\ndata.image_size = 24", id="top-res-24"),
         pytest.param("image_ae.branches = 0\nimage_ae.base_res = 64", id="no-branches"),
@@ -328,7 +329,7 @@ def test_fault_after_autoencoders_exit_code(workdir, case):
 # case -> (stage, config lines that make it diverge)
 DIVERGING = {
     "image-ae": ("image-ae", "image_ae.lr = 1e300\n"),
-    # the conditioning moments overflow in the second epoch's discriminator phase
+    # the conditioning moments overflow in the second epoch; the loss check catches it
     "image-ae-moments": ("image-ae", "image_ae.epochs = 2\nimage_ae.lr = 1e60\n"),
     "text-ae": ("text-ae", "text_ae.lr = 1e300\n"),
     "mapper-i2t": ("mapper-i2t", "mapper.lr = 1e300\n"),
@@ -481,6 +482,9 @@ NON_FINITE_ENCODER = {
                   ["translate", "--direction", "image-to-text", "--input", "{image}"]),
     "text-encoder": ("text_ae.ckpt", "enc_fwd.bias", ("image-ae", "text-ae"),
                      ["train", "--stage", "mapper-t2i"]),
+    # a NaN conditioning variable, which the generator's relus would map to finite images
+    "text-to-image": ("image_ae.ckpt", "augment.proj.weight", ("image-ae", "text-ae", "mapper-t2i"),
+                      ["translate", "--direction", "text-to-image", "--input", "{caption}"]),
 }
 
 
@@ -494,9 +498,12 @@ def test_non_finite_encoder_output_exits_5_and_writes_nothing(workdir, capsys, c
     arrays[tensor][0] = np.nan
     save_checkpoint(ckpt, list(arrays.items()))  # a valid CKPT file
     image = sorted((ws / "dataset" / "test" / "images").iterdir())[0]
+    caption = ws / "cap.txt"
+    caption.write_text("a red circle\n")
     before = tree_bytes(ws)
     capsys.readouterr()
-    assert main([arg.format(image=image) for arg in command] + ["--config", cfg]) == 5
+    assert main([arg.format(image=image, caption=caption) for arg in command]
+                + ["--config", cfg]) == 5
     out, err = capsys.readouterr()
     assert out == "" and "non-finite" in err
     assert tree_bytes(ws) == before
@@ -637,6 +644,24 @@ def test_failed_translate_loads_and_writes_nothing(saved_models, monkeypatch, ca
     assert not workspace.translations.exists()
 
 
+def test_sampled_text_to_image_translate_is_deterministic(saved_models):
+    # translate.sample = true draws the conditioning variable around its mean
+    workspace, cfg, cfg_path, _ = saved_models
+    sampled = workspace.root / "sampled.cfg"
+    sampled.write_text(TINY + "translate.sample = true\n")
+    caption = workspace.root / "cap.txt"
+    caption.write_text("a red circle\n")
+    outputs = {}
+    for name, config in (("first", sampled), ("second", sampled), ("mean", cfg_path)):
+        outputs[name] = workspace.root / f"{name}.ppm"
+        assert main(["translate", "--direction", "text-to-image", "--input", str(caption),
+                     "--output", str(outputs[name]), "--config", str(config)]) == 0
+    size = ImageAEConfig(**section(cfg, "image_ae")).top_res
+    assert read_ppm(outputs["first"]).shape == (3, size, size)
+    assert outputs["first"].read_bytes() == outputs["second"].read_bytes()
+    assert outputs["first"].read_bytes() != outputs["mean"].read_bytes()
+
+
 class TestDatagen:
     def test_deterministic_bytes(self, workdir, tmp_path, monkeypatch):
         ws, cfg = workdir
@@ -767,6 +792,8 @@ def test_help_documents_config(capsys):
     assert "mapper.kind" in out
     assert "image_ae.beta1 (default 0.5): first moment decay, in [0, 1)" in out
     for key in ("image_ae.epochs", "text_ae.epochs", "image_ae.gen_channels"):
-        assert next(line for line in out.splitlines() if key in line).endswith(", positive")
+        assert next(line for line in out.splitlines()
+                    if key in line).endswith(", positive and finite")
     for key in ("image_ae.lambda_kl", "image_ae.lambda_rec", "mapper.lambda_ae"):
-        assert next(line for line in out.splitlines() if key in line).endswith(", at least 0")
+        assert next(line for line in out.splitlines()
+                    if key in line).endswith(", finite and at least 0")

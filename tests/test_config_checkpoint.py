@@ -82,12 +82,15 @@ class TestConfig:
         domain = DEFAULTS[key][2]
         line = next(ln for ln in help_text().splitlines() if ln.startswith(f"  {key} "))
         assert line.endswith(f", {domain.text}")
-        rejected = {"positive": 0, "at least 0": -1, "in [0, 1)": 1, "at least 2": 1,
-                    "gan or mmd": "vae"}[domain.text]
-        path = tmp_path / "c.cfg"
-        path.write_text(f"{key} = {rejected}\n")
-        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be"):
-            resolve_config(path)
+        rejected = {"positive and finite": 0, "finite and at least 0": -1, "in [0, 1)": 1,
+                    "finite and at least 2": 1, "gan or mmd": "vae"}[domain.text]
+        # a float key also rejects NaN and +-inf; an int key's parser already does
+        floats = ["nan", "inf", "-inf"] if DEFAULTS[key][1] is float else []
+        for value in [rejected] + floats:
+            path = tmp_path / "c.cfg"
+            path.write_text(f"{key} = {value}\n")
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be"):
+                resolve_config(path)
 
     def test_config_lines_sorted_and_complete(self):
         cfg = resolve_config(None)

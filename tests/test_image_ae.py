@@ -88,13 +88,14 @@ class TestCondAugment:
         c_hat, _ = aug(psi, None, sample=False)
         np.testing.assert_array_equal(c_hat.data, mu.data)
 
-    def test_non_finite_moments_raise(self):
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_non_finite_moments_make_generate_images_raise(self, sample):
         from xmodal.errors import DivergenceError
-        cfg = SMALL
-        aug = CondAugment(cfg, np.random.default_rng(6))
-        aug.proj.weight.data[...] = np.nan
-        with pytest.raises(DivergenceError):
-            aug(Tensor(np.ones((1, cfg.d_img))), np.random.default_rng(0))
+        model = small_model(6)
+        model.augment.proj.weight.data[...] = np.nan
+        with pytest.raises(DivergenceError, match="generator"):
+            generate_images(model, np.ones(SMALL.d_img), np.random.default_rng(0),
+                            sample_augment=sample)
 
 
 def test_model_holds_only_what_inference_runs():

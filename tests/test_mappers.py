@@ -452,6 +452,36 @@ class TestMmdMapper:
             train_mmd_mapper(source, target, cfg, np.random.default_rng(9))
 
 
+@pytest.mark.parametrize("kind", ["gan", "mmd"])
+def test_generator_step_leaves_the_adversary_gradients(monkeypatch, kind):
+    # the discriminator's or critic's gradients after its own last step are still
+    # its gradients when the generator steps: the generator step forms none for it
+    import xmodal.mappers as mp
+    opts = []
+
+    class RecordingAdam(mp.Adam):
+        def __init__(self, params, **kw):
+            super().__init__(params, **kw)
+            opts.append(self)
+            self.grads_after_step = None
+
+        def step(self):
+            if self is opts[0]:  # the generator's optimizer is built first
+                (adversary,) = opts[1:]
+                for p, g in zip(adversary.params, adversary.grads_after_step, strict=True):
+                    np.testing.assert_array_equal(p.grad, g)
+            super().step()
+            self.grads_after_step = [p.grad.copy() for p in self.params]
+
+    monkeypatch.setattr(mp, "Adam", RecordingAdam)
+    rng = np.random.default_rng(12)
+    cfg = MapperConfig(kind=kind, steps=3, batch=8, hidden=8, n_critic=2, critic_hidden=8,
+                       critic_dim=4)
+    train = train_gan_mapper if kind == "gan" else train_mmd_mapper
+    train(rng.normal(size=(40, 5)), rng.normal(size=(40, 4)), cfg, np.random.default_rng(13))
+    assert [opt.t for opt in opts] == [3, 3 if kind == "gan" else 6]
+
+
 def test_batch_too_small_rejected():
     cfg = MapperConfig(batch=1)
     with pytest.raises(ShapeError):
