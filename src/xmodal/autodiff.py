@@ -12,6 +12,14 @@ with one GEMM when the node's own turn comes. The LSTM run node that
 that weight gets one product per sequence, not one per step. Broadcasting is
 deliberately restricted to scalar-with-tensor; rank mismatches are errors, and
 structural changes go through explicit ops (reshape, concat, narrow).
+
+Gradient ownership: a gradient buffer belongs to exactly one tensor. A rule
+that computes its gradient into a new C-contiguous array hands it over
+(`_accumulate(g, fresh=True)`) and it becomes the tensor's first gradient as
+it is; a rule that passes its output gradient through (add, sub's left
+operand, add_rowvec's rows, reshape, concat's slices, transpose) or hands a
+non-contiguous view gets a row-major copy. Later gradients are added in
+place into the owned buffer.
 """
 
 from __future__ import annotations
@@ -85,13 +93,17 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, fresh: bool = False):
+        """Add g into the gradient. `fresh` says that no other buffer holds g, so a
+        contiguous first gradient need not be copied (see the module docstring)."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            # copy, as g may alias a live buffer; row-major, like every parameter,
-            # also when g is a transposed view
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            if fresh and type(g) is np.ndarray and g.flags.c_contiguous:
+                self.grad = g
+            else:
+                # g may alias a live buffer or be a view; row-major, like every parameter
+                self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
 
@@ -176,7 +188,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(_reduce_to(out.grad, a.shape))
         if b.requires_grad:
-            b._accumulate(_reduce_to(-out.grad, b.shape))
+            b._accumulate(_reduce_to(-out.grad, b.shape), fresh=True)
 
     out = _make_node(out_data, (a, b), backward_fn)
     return out
@@ -188,9 +200,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn():
         if a.requires_grad:
-            a._accumulate(_reduce_to(out.grad * b.data, a.shape))
+            a._accumulate(_reduce_to(out.grad * b.data, a.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_reduce_to(out.grad * a.data, b.shape))
+            b._accumulate(_reduce_to(out.grad * a.data, b.shape), fresh=True)
 
     out = _make_node(out_data, (a, b), backward_fn)
     return out
@@ -198,7 +210,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def _unary(a: Tensor, value: np.ndarray, local_grad) -> Tensor:
     def backward_fn():
-        a._accumulate(out.grad * local_grad())
+        a._accumulate(out.grad * local_grad(), fresh=True)
 
     out = _make_node(value, (a,), backward_fn)
     return out
@@ -312,7 +324,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn():
         if a.requires_grad:
-            a._accumulate(out.grad @ b.data.T)
+            a._accumulate(out.grad @ b.data.T, fresh=True)
         if b.requires_grad:
             b._add_matmul_pair(a.data, out.grad)
 
@@ -380,7 +392,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     def backward_fn():
         g = np.zeros_like(a.data)
         g[idx] = out.grad
-        a._accumulate(g)
+        a._accumulate(g, fresh=True)
 
     out = _make_node(a.data[idx].copy(), (a,), backward_fn)
     return out
@@ -399,7 +411,7 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     def backward_fn():
         x._accumulate(out.grad)
         if v.requires_grad:
-            v._accumulate(out.grad.sum(axis=0))
+            v._accumulate(out.grad.sum(axis=0), fresh=True)
 
     out = _make_node(x.data + v.data[None, :], (x, v), backward_fn)
     return out
@@ -413,7 +425,7 @@ def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
     def backward_fn():
         x._accumulate(out.grad)
         if b.requires_grad:
-            b._accumulate(out.grad.sum(axis=(0, 2, 3)))
+            b._accumulate(out.grad.sum(axis=(0, 2, 3)), fresh=True)
 
     out = _make_node(x.data + b.data[None, :, None, None], (x, b), backward_fn)
     return out
@@ -425,7 +437,7 @@ def tile_hw(v: Tensor, height: int, width: int) -> Tensor:
         raise ShapeError(f"tile_hw needs a (N, C) tensor, got {v.shape}")
 
     def backward_fn():
-        v._accumulate(out.grad.sum(axis=(2, 3)))
+        v._accumulate(out.grad.sum(axis=(2, 3)), fresh=True)
 
     data = np.broadcast_to(v.data[:, :, None, None], v.shape + (height, width)).copy()
     out = _make_node(data, (v,), backward_fn)
@@ -443,7 +455,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     def backward_fn():
         g = np.zeros_like(table.data)
         np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, table.shape[1]))
-        table._accumulate(g)
+        table._accumulate(g, fresh=True)
 
     out = _make_node(table.data[ids], (table,), backward_fn)
     return out
@@ -459,7 +471,7 @@ def gather_index(x: Tensor, ids: np.ndarray) -> Tensor:
     def backward_fn():
         g = np.zeros_like(x.data)
         np.add.at(g, (rows, ids), out.grad)
-        x._accumulate(g)
+        x._accumulate(g, fresh=True)
 
     out = _make_node(x.data[rows, ids].copy(), (x,), backward_fn)
     return out
@@ -476,7 +488,7 @@ def log_softmax(x: Tensor) -> Tensor:
 
     def backward_fn():
         softmax = np.exp(out_data)
-        x._accumulate(out.grad - softmax * out.grad.sum(axis=1, keepdims=True))
+        x._accumulate(out.grad - softmax * out.grad.sum(axis=1, keepdims=True), fresh=True)
 
     out = _make_node(out_data, (x,), backward_fn)
     return out
@@ -493,9 +505,9 @@ def pairwise_sq_dists(x: Tensor, y: Tensor) -> Tensor:
     def backward_fn():
         g = out.grad
         if x.requires_grad:
-            x._accumulate(2.0 * (x.data * g.sum(axis=1)[:, None] - g @ y.data))
+            x._accumulate(2.0 * (x.data * g.sum(axis=1)[:, None] - g @ y.data), fresh=True)
         if y.requires_grad:
-            y._accumulate(2.0 * (y.data * g.sum(axis=0)[:, None] - g.T @ x.data))
+            y._accumulate(2.0 * (y.data * g.sum(axis=0)[:, None] - g.T @ x.data), fresh=True)
 
     out = _make_node(d, (x, y), backward_fn)
     return out
@@ -518,7 +530,7 @@ def rbf_mixture(d: Tensor, bandwidths: Sequence[float]) -> Tensor:
         dd = (g * terms[0]) * coeffs[0]
         for k, c in zip(terms[1:], coeffs[1:]):
             dd += (g * k) * c
-        d._accumulate(dd)
+        d._accumulate(dd, fresh=True)
 
     out = _make_node(total, (d,), backward_fn)
     return out
@@ -642,9 +654,10 @@ def _tap_table(kh: int, kw: int, stride: int, padding: int, upsample: int,
 
 
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
-           upsample: int = 1) -> Tensor:
+           upsample: int = 1, bias: Optional[Tensor] = None) -> Tensor:
     """2-D cross-correlation (no kernel flip) over (N,C,H,W) input, nearest-neighbour
-    upsampled `upsample` times first without building the upsampled tensor.
+    upsampled `upsample` times first without building the upsampled tensor, plus
+    the per-channel `bias` (C_out,) if given, added in place into the output.
 
     One GEMM of the tap table's bank runs over the padded input, im2col'd when
     the window is wider than 1; each entry then puts its block into the output.
@@ -657,6 +670,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
     copies, else the batch sum of g[n] @ cols[n].T. d input is `bank.T @ g`, folded
     back by `_col2im` for a stride-1 window; at stride above 1 it is one GEMM
     of the shifted output gradient, then depth-to-space (`_strided_input_grad`).
+    d bias is the output gradient summed over batch and space.
     """
     if kernels.data.ndim != 4:
         raise ShapeError(f"conv2d kernels must be (C_out, C_in, kh, kw), got {kernels.shape}")
@@ -665,6 +679,8 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
     if kernels.shape[1] != x.shape[1]:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, kernels {kernels.shape[1]}")
     (n, c_in, h, w), (c_out, _, kh, kw) = x.shape, kernels.shape
+    if bias is not None and bias.shape != (c_out,):
+        raise ShapeError(f"conv2d bias must be ({c_out},), got {bias.shape}")
     ho = _conv_out_size(upsample * h, kh, stride, padding)
     wo = _conv_out_size(upsample * w, kw, stride, padding)
     table = _tap_table(kh, kw, stride, padding, upsample, stride == upsample == 1 and c_out < c_in)
@@ -693,6 +709,8 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
                 out_data[:, :, a::upsample, b::upsample] = y[:, e, :, i:i + hu, j:j + wu]
             else:
                 out_data[:, :, a::upsample, b::upsample] += y[:, e, :, i:i + hu, j:j + wu]
+    if bias is not None:
+        out_data += bias.data[:, None, None]  # out_data is this op's own array
 
     def backward_fn():
         if n_e == 1:
@@ -712,16 +730,18 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
             dk = dbank.reshape(n_e, c_out, c_in, slots).transpose(1, 2, 0, 3)
             if table.fold is not None:
                 dk = dk.reshape(c_out * c_in, -1) @ table.fold.T
-            kernels._accumulate(dk.reshape(kernels.shape))
+            kernels._accumulate(dk.reshape(kernels.shape), fresh=True)
         if x.requires_grad:
             if stride > 1:
                 dxp = _strided_input_grad(out.grad, kernels.data, stride)
             else:
                 dcols = bank.T @ g
                 dxp = _col2im(dcols, xp_shape, wh, ww, gh, gw) if im2col else dcols.reshape(xp_shape)
-            x._accumulate(dxp[:, :, pad:pad + h, pad:pad + w])
+            x._accumulate(dxp[:, :, pad:pad + h, pad:pad + w], fresh=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(out.grad.sum(axis=(0, 2, 3)), fresh=True)
 
-    out = _make_node(out_data, (x, kernels), backward_fn)
+    out = _make_node(out_data, (x, kernels) if bias is None else (x, kernels, bias), backward_fn)
     return out
 
 
@@ -732,7 +752,7 @@ def upsample2x(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
 
     def backward_fn():
-        x._accumulate(out.grad.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
+        x._accumulate(out.grad.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)), fresh=True)
 
     out = _make_node(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), (x,), backward_fn)
     return out
@@ -747,7 +767,7 @@ def avgpool2x(x: Tensor) -> Tensor:
         raise ShapeError(f"avgpool2x needs even spatial dims, got {h}x{w}")
 
     def backward_fn():
-        x._accumulate(np.repeat(np.repeat(out.grad, 2, axis=2), 2, axis=3) * 0.25)
+        x._accumulate(np.repeat(np.repeat(out.grad, 2, axis=2), 2, axis=3) * 0.25, fresh=True)
 
     out = _make_node(x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5)), (x,), backward_fn)
     return out
@@ -772,7 +792,7 @@ def reduce(op_tag: str, x: Tensor, axis: Optional[int] = None) -> Tensor:
         factor = 1.0 if op_tag == "sum" else 1.0 / x.size
 
         def backward_fn():
-            x._accumulate(np.full_like(x.data, float(out.grad) * factor))
+            x._accumulate(np.full_like(x.data, float(out.grad) * factor), fresh=True)
 
         out = _make_node(np.asarray(x.data.sum() if op_tag == "sum" else x.data.mean()), (x,),
                          backward_fn)
@@ -786,7 +806,7 @@ def reduce(op_tag: str, x: Tensor, axis: Optional[int] = None) -> Tensor:
     def backward_fn():
         g = np.zeros_like(x.data)
         np.put_along_axis(g, np.expand_dims(arg, axis), np.expand_dims(out.grad, axis), axis=axis)
-        x._accumulate(g)
+        x._accumulate(g, fresh=True)
 
     out = _make_node(x.data.max(axis=axis), (x,), backward_fn)
     return out
@@ -834,7 +854,7 @@ def backward(loss: Tensor, params: Optional[Sequence[Tensor]] = None):
                 node.requires_grad = False
                 frozen.append(node)
     try:
-        loss._accumulate(np.ones_like(loss.data))
+        loss._accumulate(np.ones_like(loss.data), fresh=True)
         # reverse topological order: every consumer of a node has run and been
         # released before the node's turn, so its recorded matmul pairs are complete
         for node in reversed(topo):

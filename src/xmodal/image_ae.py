@@ -317,10 +317,12 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
         for start in range(0, n_total - cfg.batch + 1, cfg.batch):
             idx = order[start:start + cfg.batch]
             x = Tensor(images[idx])
+            # one encoder forward for both phases: the discriminator steps change
+            # no encoder weight and their backward never reaches psi
+            psi = model.encoder(x)
 
             # discriminator phase: fakes and conditioning detached
             with ad.no_grad():
-                psi = model.encoder(x)
                 c_hat, _ = model.augment(psi, rng)
                 z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))
                 fakes = model.generator(c_hat, z)
@@ -330,9 +332,8 @@ def train_image_autoencoder(model: ImageAutoencoder, images: np.ndarray,
                 run.emit(f"d_loss_{i}",
                          run.minimize(opt, d_loss, f"image autoencoder discriminator {i} loss"))
 
-            # generator phase: a fresh forward; its step differentiates the
-            # model only, so backward forms no discriminator gradient
-            psi = model.encoder(x)
+            # generator phase: a fresh forward from psi; its step differentiates
+            # the model only, so backward forms no discriminator gradient
             c_hat, kl = model.augment(psi, rng)
             z = Tensor(rng.standard_normal((len(idx), cfg.d_z)))
             fakes = model.generator(c_hat, z)

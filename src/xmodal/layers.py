@@ -7,14 +7,23 @@ except the LSTM forget-gate bias which starts at +1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
+_MAX_BYTES = np.iinfo(np.intp).max  # numpy's index range, in bytes
+
 
 def glorot_uniform(rng: np.random.Generator | None, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    """With `rng=None`, uninitialised memory: a model built so is valid only after `load_into`."""
+    """With `rng=None`, uninitialised memory: a model built so is valid only after `load_into`.
+
+    A float64 array of `shape` past numpy's index range raises MemoryError, as one
+    past the machine's memory does, not numpy's ValueError."""
+    if 8 * math.prod(map(int, shape)) > _MAX_BYTES:
+        raise MemoryError(f"a float64 array of shape {tuple(shape)} exceeds numpy's index range")
     if rng is None:
         return np.empty(shape)
     a = np.sqrt(6.0 / (fan_in + fan_out))
@@ -76,8 +85,7 @@ class Conv2dLayer(Module):
         self.bias = self._register("bias", Tensor(np.zeros(out_ch)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ad.conv2d(x, self.kernels, self.stride, self.padding, self.upsample)
-        return ad.add_channel_bias(out, self.bias)
+        return ad.conv2d(x, self.kernels, self.stride, self.padding, self.upsample, self.bias)
 
 
 class EmbeddingTable(Module):
@@ -101,7 +109,7 @@ class LSTMCell(Module):
     run as one graph node and `text_ae.decode_texts` steps it greedily. Each
     gate's block is drawn as its own Glorot matrix (fan-out `hidden`); the
     forget-gate bias starts at +1 so early training keeps cell memory. With
-    `rng=None` the weight is one uninitialised array, as `glorot_uniform` gives.
+    `rng=None` the weight is one uninitialised array from `glorot_uniform`.
     """
 
     GATES = ("input", "forget", "output", "candidate")  # sigmoid gates first, then tanh
@@ -111,7 +119,7 @@ class LSTMCell(Module):
         self.hidden_dim = hidden_dim
         cat = input_dim + hidden_dim
         if rng is None:
-            weight = Tensor(np.empty((cat, 4 * hidden_dim)))
+            weight = Tensor(glorot_uniform(None, (cat, 4 * hidden_dim), cat, hidden_dim))
         else:
             blocks = [glorot_uniform(rng, (hidden_dim, cat), cat, hidden_dim) for _ in self.GATES]
             weight = Tensor(np.concatenate(blocks).T)
@@ -199,7 +207,7 @@ def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False,
             d[:, :3 * hid] *= ifo * (1.0 - ifo)
             np.multiply(dc * i, 1.0 - g * g, out=d[:, 3 * hid:])
             if bias.requires_grad:
-                bias._accumulate(d.sum(axis=0))
+                bias._accumulate(d.sum(axis=0), fresh=True)
             if weight.requires_grad:
                 weight._add_matmul_pair(xh, d)
             if t != order[0] or dx is not None or to_state:
@@ -207,9 +215,9 @@ def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False,
                 if dx is not None:  # what the T narrows' zero-filled gradients summed
                     dx[block] = dxh[:, :dim]  # to, as this GEMM gives no -0.0
         if dx is not None:
-            rows._accumulate(dx)
+            rows._accumulate(dx, fresh=True)
         if to_state:
-            state._accumulate(np.concatenate([dxh[:, dim:], dc * f], axis=1))
+            state._accumulate(np.concatenate([dxh[:, dim:], dc * f], axis=1), fresh=True)
 
     out = ad._make_node(out_data, parents, backward_fn if saved is not None else None)
     return out

@@ -320,6 +320,35 @@ class TestConv2d:
         backward(ad.reduce("sum", ad.conv2d(x, k, 1, 1, upsample=2)))
         assert folded == [(2, 3, 6, 6)] and x.grad is not None
 
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("c_in, c_out, res, kernel, stride, padding, upsample", [
+        (16, 32, 16, 4, 2, 1, 1),   # an encoder or trunk conv: 4x4, stride 2
+        (64, 64, 4, 1, 1, 0, 1),    # cond_mix: 1x1
+        (8, 3, 32, 3, 1, 1, 1),     # an image head: 3x3 taps on the output side
+        (32, 16, 8, 3, 1, 1, 2),    # a join: 3x3 of the upsampled input
+    ], ids=["strided", "1x1", "head", "join"])
+    def test_bias_operand_equals_the_bias_node_bit_for_bit(self, c_in, c_out, res, kernel, stride,
+                                                           padding, upsample, batch):
+        rng = np.random.default_rng(47)
+        x_data = rng.normal(size=(batch, c_in, res, res))
+        k_data, b_data = rng.normal(size=(c_out, c_in, kernel, kernel)), rng.normal(size=c_out)
+
+        def run(fused):
+            x, k, b = t(x_data, grad=True), t(k_data, grad=True), t(b_data, grad=True)
+            if fused:
+                out = ad.conv2d(x, k, stride, padding, upsample, bias=b)
+            else:
+                out = ad.add_channel_bias(ad.conv2d(x, k, stride, padding, upsample), b)
+            g = np.random.default_rng(48).normal(size=out.shape)
+            backward(ad.reduce("sum", ad.mul(out, Tensor(g))))
+            return out.data, x.grad, k.grad, b.grad
+
+        assert_same_bytes(run(True), run(False))
+
+    def test_bias_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.conv2d(t(np.ones((1, 2, 4, 4))), t(np.ones((3, 2, 2, 2))), bias=t(np.ones(2)))
+
     def test_batched_matches_single(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 2, 6, 6))
@@ -671,6 +700,70 @@ class TestBackward:
             backward(loss, [gen])
         assert all(p.requires_grad and p.grad is None for p in adversary)
         assert gen.requires_grad and h.requires_grad
+
+
+def record_gradient_buffers(loss: Tensor) -> list:
+    """Run backward on `loss` and return (tensor, gradient buffer) for every
+    interior node, as its rule saw it, and then for every leaf."""
+    seen, held, stack = [], {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in held:
+            continue
+        held[id(node)] = node
+        stack.extend(node._parents)
+        if node._parents:
+            def watch(node=node, rule=node._backward_fn):
+                seen.append((node, node.grad))
+                rule()
+            node._backward_fn = watch
+    backward(loss)
+    return seen + [(n, n.grad) for n in held.values() if not n._parents and n.grad is not None]
+
+
+OWNERSHIP_CASES = {
+    "add": lambda a, b, v: ad.add(a, b),
+    "sub": lambda a, b, v: ad.sub(a, b),
+    "concat": lambda a, b, v: ad.concat([a, b], axis=0),
+    "reshape": lambda a, b, v: ad.add(ad.reshape(a, (3, 2)), ad.reshape(b, (3, 2))),
+    "add_rowvec": lambda a, b, v: ad.add_rowvec(ad.add(a, b), v),
+    "two_consumers": lambda a, b, v: ad.add(ad.add(a, b), ad.tanh(a)),
+    "dense": lambda a, b, v: ad.add_rowvec(ad.matmul(a, ad.transpose(b)), ad.narrow(v, 0, 0, 2)),
+}
+
+
+class TestGradientOwnership:
+    @pytest.mark.parametrize("name", sorted(OWNERSHIP_CASES))
+    def test_no_two_tensors_share_a_gradient_buffer(self, name):
+        rng = np.random.default_rng(15)
+        a, b, v = (t(rng.normal(size=s), grad=True) for s in ((2, 3), (2, 3), (3,)))
+        out = OWNERSHIP_CASES[name](a, b, v)
+        loss = ad.reduce("sum", ad.mul(out, Tensor(rng.normal(size=out.shape))))
+        buffers = record_gradient_buffers(loss)
+        assert a.grad is not None and b.grad is not None
+        for i, (n, g) in enumerate(buffers):
+            for m, h in buffers[i + 1:]:
+                assert not np.shares_memory(g, h), f"{n} and {m} share a gradient buffer"
+        for leaf in (a, b, v):
+            if leaf.grad is not None:
+                assert leaf.grad.dtype == np.float64 and leaf.grad.flags.c_contiguous
+
+    def test_square_by_mul_gives_twice_g_times_a(self):
+        rng = np.random.default_rng(16)
+        a, g = t(rng.normal(size=(3, 4)), grad=True), rng.normal(size=(3, 4))
+        backward(ad.reduce("sum", ad.mul(ad.mul(a, a), Tensor(g))))
+        np.testing.assert_array_equal(a.grad, 2.0 * (g * a.data))
+
+    def test_fresh_contiguous_gradient_is_kept_and_a_view_is_copied(self):
+        a, fresh = t(np.zeros((2, 3)), grad=True), np.ones((2, 3))
+        a._accumulate(fresh, fresh=True)
+        assert a.grad is fresh
+        b, base = t(np.zeros((3, 2)), grad=True), np.ones((2, 3))
+        b._accumulate(base.T, fresh=True)
+        assert b.grad.flags.c_contiguous and not np.shares_memory(b.grad, base)
+        c, given = t(np.zeros((2, 3)), grad=True), np.ones((2, 3))
+        c._accumulate(given)
+        assert not np.shares_memory(c.grad, given)
 
 
 class TestGradientCheck:

@@ -102,6 +102,21 @@ class TestExitCodes:
         huge.write_text(TINY + "text_ae.hidden = 1000000000\n")
         assert main(["train", "--stage", "text-ae", "--config", str(huge)]) == 2
 
+    @pytest.mark.parametrize("size", ["99999999999999999999", "100000000000000000"],
+                             ids=["past-intp", "past-address-space"])
+    @pytest.mark.parametrize("key, stage", [("image_ae.d_img", "image-ae"),
+                                            ("text_ae.embed_dim", "text-ae"),
+                                            ("mapper.hidden", "mapper-i2t")])
+    def test_sizes_past_numpy_index_range_exit_2(self, workdir, capsys, key, stage, size):
+        ws, cfg = workdir
+        train_stages(cfg, ("image-ae", "text-ae") if stage == "mapper-i2t" else ())
+        huge = ws / "huge.cfg"
+        huge.write_text(TINY + f"{key} = {size}\n")
+        capsys.readouterr()
+        assert main(["train", "--stage", stage, "--config", str(huge)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "do not fit in memory" in err
+
     @pytest.mark.parametrize("name", ["manifest.txt", "train/captions.tsv", "train/images.tsv"])
     def test_non_utf8_dataset_file_exits_3(self, workdir, name):
         ws, cfg = workdir

@@ -195,10 +195,11 @@ class TestGeneratorStack:
         images = model.generator(c, z)
         conv2d = ad.conv2d
 
-        def oracle_for_some(x, k, stride=1, padding=0, upsample=1):
+        def oracle_for_some(x, k, stride=1, padding=0, upsample=1, bias=None):
             if (upsample > 1) != (layers == "joins"):
-                return conv2d(x, k, stride, padding, upsample)
-            return Tensor(upsample_conv_oracle(x.data, k.data, upsample, stride, padding))
+                return conv2d(x, k, stride, padding, upsample, bias)
+            out = upsample_conv_oracle(x.data, k.data, upsample, stride, padding)
+            return Tensor(out + bias.data[:, None, None])
 
         monkeypatch.setattr(ad, "conv2d", oracle_for_some)
         for got, want in zip(images, model.generator(c, z), strict=True):
@@ -415,6 +416,20 @@ def test_generator_phase_leaves_discriminators_frozen(monkeypatch):
     assert len(opts) == 1 + cfg.branches
     assert [d.t for d in opts] == [6] * len(opts)
     assert [d.steps_changing_every_param for d in opts[1:]] == [6] * cfg.branches
+
+
+def test_one_encoder_forward_per_iteration(monkeypatch):
+    # one epoch at the CLI tests' TINY sizes: 24 images, batch 4, so 6 iterations
+    from xmodal import image_ae
+    calls = []
+    encode = image_ae.ImageEncoder.__call__
+    monkeypatch.setattr(image_ae.ImageEncoder, "__call__",
+                        lambda self, x: calls.append(x.shape) or encode(self, x))
+    cfg = ImageAEConfig(batch=4, epochs=1)
+    images = np.random.default_rng(36).uniform(-1, 1, size=(24, 3, 32, 32))
+    train_image_autoencoder(ImageAutoencoder(cfg, np.random.default_rng(37)), images,
+                            np.random.default_rng(38))
+    assert calls == [(4, 3, 32, 32)] * 6
 
 
 @pytest.mark.slow
