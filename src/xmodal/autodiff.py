@@ -4,14 +4,11 @@ Every operation records a node on an implicit computation graph (child ->
 parent links plus a backward closure). `backward` consumes the graph as it
 goes: each interior node drops its links, closure and gradient as soon as its
 rule has run, a failed pass leaves nothing partial in interior nodes, and a
-second traversal through any consumed node raises. A matmul's backward does
-not form its weight's gradient on the spot: it records the pair (left operand,
-output gradient) on that operand, and `backward` settles all of a node's pairs
-with one GEMM when the node's own turn comes. The LSTM run node that
-`layers.lstm_run` builds records one pair per step on its cell's weight, so
-that weight gets one product per sequence, not one per step. Broadcasting is
-deliberately restricted to scalar-with-tensor; rank mismatches are errors, and
-structural changes go through explicit ops (reshape, concat, narrow).
+second traversal through any consumed node raises. Each rule forms its
+operands' gradients at once, and a tensor that several nodes consume adds
+their gradients in the order the pass reaches them. Broadcasting is
+deliberately restricted to scalar-with-tensor; rank mismatches are errors,
+and structural changes go through explicit ops (reshape, concat, narrow).
 
 Gradient ownership: a gradient buffer belongs to exactly one tensor. A rule
 that computes its gradient into a new C-contiguous array hands it over
@@ -60,8 +57,7 @@ class Tensor:
     The shape is fixed at creation; `grad`, when present, always matches it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_consumed",
-                 "_matmul_pairs")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -73,9 +69,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward_fn: Optional[Callable[[], None]] = None
         self._consumed = False
-        # (left operand, output gradient) of each matmul that took this tensor
-        # as its right operand; `backward` settles them (see `_settle`)
-        self._matmul_pairs: Optional[list] = None
 
     @property
     def shape(self) -> tuple:
@@ -106,23 +99,6 @@ class Tensor:
                 self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
-
-    def _add_matmul_pair(self, a: np.ndarray, g: np.ndarray):
-        # a product a @ self with output gradient g, for `_settle`
-        if self._matmul_pairs is None:
-            self._matmul_pairs = []
-        self._matmul_pairs.append((a, g))
-
-    def _settle(self):
-        # one GEMM over every recorded matmul: sum_t a_t.T @ g_t = A.T @ G
-        pairs, self._matmul_pairs = self._matmul_pairs, None
-        # a lone pair, as in every DenseLayer, needs no concatenated copies
-        a, g = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
-        dw = a.T @ g  # fresh array: no defensive copy
-        if self.grad is None:
-            self.grad = dw
-        else:
-            self.grad += dw
 
 
 def _records(parents: Sequence[Tensor]) -> bool:
@@ -326,7 +302,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(out.grad @ b.data.T, fresh=True)
         if b.requires_grad:
-            b._add_matmul_pair(a.data, out.grad)
+            b._accumulate(a.data.T @ out.grad, fresh=True)
 
     out = _make_node(out_data, (a, b), backward_fn)
     return out
@@ -856,10 +832,8 @@ def backward(loss: Tensor, params: Optional[Sequence[Tensor]] = None):
     try:
         loss._accumulate(np.ones_like(loss.data), fresh=True)
         # reverse topological order: every consumer of a node has run and been
-        # released before the node's turn, so its recorded matmul pairs are complete
+        # released before the node's turn, so its gradient is complete
         for node in reversed(topo):
-            if node._matmul_pairs is not None:
-                node._settle()
             if node._parents:
                 if node.requires_grad:
                     node._backward_fn()
@@ -869,7 +843,6 @@ def backward(loss: Tensor, params: Optional[Sequence[Tensor]] = None):
                 node.grad = None  # interior grads are scratch; parameters are leaves
     except BaseException:
         for node in topo:  # nothing partial of a failed pass may reach a later one
-            node._matmul_pairs = None
             if node._parents:
                 node.grad = None
         raise

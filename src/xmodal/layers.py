@@ -159,10 +159,11 @@ def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False,
     its backward runs backpropagation through time from the last step to the
     first. That backward forms every product in the order a graph of per-step
     nodes would (narrow the rows, step, concat the states, narrow their h
-    columns), so every value and gradient is that graph's bit for bit: the
-    weight gets one matmul pair per step, in backward order (see `autodiff`),
-    and the bias one row sum per step. Under `no_grad` the run keeps nothing
-    for backward.
+    columns), so every value and gradient but the weight's is that graph's bit
+    for bit; the bias gets one row sum per step. The weight gets one product
+    for the whole run, not one per step: concat(xh_t).T @ concat(d_t) over the
+    gate gradients d_t, rows in backward order. Under `no_grad` the run keeps
+    nothing for backward.
     """
     if inputs.data.ndim != 3:
         raise ShapeError(f"lstm_run expects (T, batch, dim), got {inputs.shape}")
@@ -190,7 +191,8 @@ def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False,
     def backward_fn():
         dx = np.empty_like(rows.data) if rows.requires_grad else None
         to_state = state is not None and state.requires_grad
-        for t, (xh, ifo, g, c_prev, tc) in zip(reversed(order), reversed(saved)):
+        d_rows = np.empty((t_steps * batch, 4 * hid))  # each step's d, in backward order
+        for k, (t, (xh, ifo, g, c_prev, tc)) in enumerate(zip(reversed(order), reversed(saved))):
             block = slice(t * batch, (t + 1) * batch)
             # the concat's gradient of state t, its c columns zero-filled by the
             # h-column narrow, plus the one the next step in run order passed back
@@ -200,7 +202,7 @@ def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False,
                 gh, gc = out.grad[block] + dxh[:, dim:], 0.0 + dc * f
             i, f, o = ifo[:, :hid], ifo[:, hid:2 * hid], ifo[:, 2 * hid:]
             dc = gc + (gh * o) * (1.0 - tc * tc)
-            d = np.empty((batch, 4 * hid))
+            d = d_rows[k * batch:(k + 1) * batch]
             np.multiply(dc, g, out=d[:, :hid])
             np.multiply(dc, c_prev, out=d[:, hid:2 * hid])
             np.multiply(gh, tc, out=d[:, 2 * hid:3 * hid])
@@ -208,12 +210,13 @@ def lstm_run(cell: LSTMCell, inputs: Tensor, reverse: bool = False,
             np.multiply(dc * i, 1.0 - g * g, out=d[:, 3 * hid:])
             if bias.requires_grad:
                 bias._accumulate(d.sum(axis=0), fresh=True)
-            if weight.requires_grad:
-                weight._add_matmul_pair(xh, d)
             if t != order[0] or dx is not None or to_state:
                 dxh = d @ weight.data.T  # whole, as the composed matmul rule formed it
                 if dx is not None:  # what the T narrows' zero-filled gradients summed
                     dx[block] = dxh[:, :dim]  # to, as this GEMM gives no -0.0
+        if weight.requires_grad:  # a lone step's xh needs no concatenated copy
+            xh_rows = saved[0][0] if t_steps == 1 else np.concatenate([c[0] for c in reversed(saved)])
+            weight._accumulate(xh_rows.T @ d_rows, fresh=True)
         if dx is not None:
             rows._accumulate(dx, fresh=True)
         if to_state:

@@ -1,5 +1,6 @@
 """Test-only helpers: finite-difference gradient checks, the direct-loop convolution
-oracles, the composed LSTM step and run, and the metric CSV reader.
+oracles, the composed LSTM step and run with their gate-product node, and the
+metric CSV reader.
 
 Test modules import this as `helpers`; pytest puts `tests/` on `sys.path`.
 """
@@ -95,12 +96,40 @@ def upsample_conv_oracle(x: np.ndarray, w: np.ndarray, upsample: int = 2, stride
     return np.stack([conv_loop_oracle(sample, w, stride, padding) for sample in up])
 
 
-def composed_step(cell, x_t: Tensor, hc_prev: Tensor) -> Tensor:
-    """An `LSTMCell` step as separate narrow/concat/matmul/add_rowvec/sigmoid/tanh/
-    mul/add nodes, from the state tensor [h | c] to the next one."""
+def gate_product(weight: Tensor) -> Callable[[Tensor], Tensor]:
+    """xh -> xh @ weight for the steps of one composed run, whose weight gradient
+    is one GEMM as `layers.lstm_run` forms it. Every product consumes one node
+    that stands for the weight; each product's rule forms d xh and records
+    (xh, d), and that node's rule, whose turn comes after all of them, gives
+    the weight concat(xh).T @ concat(d), rows in the order the rules ran."""
+    pairs = []
+
+    def weight_backward():
+        a, g = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
+        weight._accumulate(a.T @ g, fresh=True)
+
+    node = ad._make_node(weight.data, (weight,), weight_backward)
+
+    def product(xh: Tensor) -> Tensor:
+        def backward_fn():
+            if xh.requires_grad:
+                xh._accumulate(out.grad @ weight.data.T, fresh=True)
+            pairs.append((xh.data, out.grad))
+
+        out = ad._make_node(xh.data @ weight.data, (xh, node), backward_fn)
+        return out
+
+    return product
+
+
+def composed_step(cell, x_t: Tensor, hc_prev: Tensor, product=None) -> Tensor:
+    """An `LSTMCell` step as separate narrow/concat/gate-product/add_rowvec/sigmoid/
+    tanh/mul/add nodes, from the state tensor [h | c] to the next one. The steps
+    of one run share one `gate_product`; a step without one gets its own."""
     hid = cell.hidden_dim
+    product = product or gate_product(cell.weight)
     h_prev, c_prev = ad.narrow(hc_prev, 1, 0, hid), ad.narrow(hc_prev, 1, hid, hid)
-    pre = ad.add_rowvec(ad.matmul(ad.concat([x_t, h_prev], axis=1), cell.weight), cell.bias)
+    pre = ad.add_rowvec(product(ad.concat([x_t, h_prev], axis=1)), cell.bias)
     ifo = ad.sigmoid(ad.narrow(pre, 1, 0, 3 * hid))
     g = ad.tanh(ad.narrow(pre, 1, 3 * hid, hid))
     i, f, o = (ad.narrow(ifo, 1, k * hid, hid) for k in range(3))
@@ -110,14 +139,16 @@ def composed_step(cell, x_t: Tensor, hc_prev: Tensor) -> Tensor:
 
 def composed_run(cell, inputs: Tensor, reverse: bool = False, state: Tensor = None) -> Tensor:
     """`layers.lstm_run` as separate nodes: the input rows narrowed per step, each
-    step a `composed_step`, the states concatenated and their h columns narrowed.
-    The oracle that the run's one node must match bit for bit, forward and backward."""
+    step a `composed_step` through the run's one `gate_product`, the states
+    concatenated and their h columns narrowed. The oracle that the run's one node
+    must match bit for bit, forward and backward."""
     t_steps, batch, dim = inputs.shape
     hc = Tensor(np.zeros((batch, 2 * cell.hidden_dim))) if state is None else state
     rows = ad.reshape(inputs, (t_steps * batch, dim))
+    product = gate_product(cell.weight)
     states = [None] * t_steps
     for t in reversed(range(t_steps)) if reverse else range(t_steps):
-        hc = composed_step(cell, ad.narrow(rows, 0, t * batch, batch), hc)
+        hc = composed_step(cell, ad.narrow(rows, 0, t * batch, batch), hc, product)
         states[t] = hc
     return ad.narrow(ad.concat(states, axis=0), 1, 0, cell.hidden_dim)
 

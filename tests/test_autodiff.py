@@ -230,6 +230,12 @@ class TestMatmul:
         backward(f(wt))
         want = sum(x.T @ g for x, g in zip(xs, gs)) + g_add
         np.testing.assert_allclose(wt.grad, want, atol=1e-12, rtol=0)
+        # each use adds its own product in the order the pass reaches it: the
+        # add first, then the matmuls in the order they were built
+        in_pass_order = g_add.copy()
+        for x, g in zip(xs, gs):
+            in_pass_order += x.T @ g
+        assert wt.grad.tobytes() == in_pass_order.tobytes()
         assert gradient_check(f, t(w)) <= 1e-6
 
 
@@ -604,18 +610,20 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [5.0])
 
     def test_failed_backward_does_not_reach_the_next(self):
-        # the matmul records its pair on w, then the left operand's rule raises
+        # the matmul forms its interior right operand's gradient at once, then the
+        # left operand's rule raises before that operand's turn comes
         w = t(np.eye(2), grad=True)
-        left = ad.reshape(w, (2, 2))
+        left, right = ad.reshape(w, (2, 2)), ad.transpose(w)
 
         def fail():
             raise RuntimeError("backward rule failed")
 
         left._backward_fn = fail
         with pytest.raises(RuntimeError):
-            backward(ad.reduce("sum", ad.matmul(left, w)))
+            backward(ad.reduce("sum", ad.matmul(left, right)))
+        assert right.grad is None
         w.grad = None
-        backward(ad.reduce("sum", ad.matmul(t(np.ones((1, 2))), w)))
+        backward(ad.reduce("sum", ad.matmul(t(np.ones((1, 2))), right)))
         np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
 
     @staticmethod
@@ -673,12 +681,21 @@ class TestBackward:
 
     @pytest.mark.parametrize("params", [None, "generator"])
     def test_backward_over_params_forms_no_other_gradient(self, monkeypatch, params):
-        settled, settle = [], Tensor._settle
-        monkeypatch.setattr(Tensor, "_settle", lambda self: settled.append(self) or settle(self))
+        transposed, transpose = [], ad.transpose
+        monkeypatch.setattr(ad, "transpose",
+                            lambda a: transposed.append(transpose(a)) or transposed[-1])
         gen, adversary, _, loss = self._generator_and_adversary()
+        monkeypatch.undo()
+        gen_t, adv_t = transposed
+        reached, accumulate = [], Tensor._accumulate
+        monkeypatch.setattr(Tensor, "_accumulate",
+                            lambda self, g, fresh=False: reached.append(self) or accumulate(self, g, fresh))
         backward(loss, None if params is None else [gen])
-        # one weight GEMM per transposed weight that the pass differentiates
-        assert len(settled) == (2 if params is None else 1)
+        # one weight product per transposed weight that the pass differentiates,
+        # the adversary's first as the pass reaches it first
+        products = [node for node in reached if node is gen_t or node is adv_t]
+        assert products == ([adv_t, gen_t] if params is None else [gen_t])
+        monkeypatch.undo()
         full_gen, full_adversary, _, full_loss = self._generator_and_adversary()
         backward(full_loss)
         np.testing.assert_array_equal(gen.grad, full_gen.grad)

@@ -16,7 +16,7 @@ from xmodal.text_ae import (TextAutoencoder, Vocabulary, decode_text, decode_tex
                             detokenize, encode_text, encode_texts, roundtrip, tokenize,
                             train_text_autoencoder)
 
-from helpers import composed_run, composed_step, gradient_check
+from helpers import composed_run, composed_step, gate_product, gradient_check
 
 CORPUS = [
     (0, tokenize("a red circle on a white background")),
@@ -276,11 +276,12 @@ class TestDecoderLoss:
 
     @staticmethod
     def per_step_logits(model, s, input_ids):
-        """The decoder as its own loop of composed steps, one embedding lookup per step."""
+        """The decoder as its own loop of composed steps through one gate product,
+        one embedding lookup per step."""
         hc = model._dec_start(s)
-        states = []
+        product, states = gate_product(model.dec.weight), []
         for t in range(input_ids.shape[0]):
-            hc = composed_step(model.dec, model.embed(input_ids[t]), hc)
+            hc = composed_step(model.dec, model.embed(input_ids[t]), hc, product)
             states.append(ad.narrow(hc, 1, 0, model.dec.hidden_dim))
         return model.out(ad.concat(states, axis=0))
 
